@@ -132,6 +132,9 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ConfigError("no command given: use --command or a config file")
     if cfg["command"] not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg['command']!r}")
+    workers = cfg["workers"]
+    if not (isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1):
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     if isinstance(cfg.get("n_list"), str):
         try:
             cfg["n_list"] = tuple(int(x) for x in cfg["n_list"].split(",") if x.strip())

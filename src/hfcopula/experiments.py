@@ -12,24 +12,33 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import __version__
-from .estimators import CopulaQuery, copula_estimate, quarticity, realized_variation, variance_estimate
-from .gaussmath import std_normal_cdf, std_normal_quantile
+from .estimators import (
+    CopulaQuery,
+    copula_estimate,
+    quarticity,
+    realized_variation,
+    variance_estimate,
+    variance_quadratic_form,
+)
+from .gaussmath import std_normal_quantile
 from .kernel import (
-    DEFAULT_KERNEL,
-    KernelConfig,
     NearDiagonalError,
     TimePair,
     UnitPair,
+    clock_angle,
     grad_psi_grid,
     psi,
+    psi_difference,
     psi_grid,
 )
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
@@ -188,11 +197,18 @@ def _spec_dict(spec) -> dict:
     return out
 
 
+def _pool_size(workers: int, count: int) -> int:
+    """Processes to run ``count`` replications on: no more than replications or CPUs."""
+    _check_pos_int("workers", workers)
+    return min(int(workers), count, os.cpu_count() or 1)
+
+
 def _map_replications(fn, count: int, workers: int) -> list:
-    if workers <= 1 or count <= 1:
+    size = _pool_size(workers, count)
+    if size <= 1:
         return [fn(i) for i in range(count)]
-    chunk = max(1, count // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    chunk = max(1, count // (size * 4))
+    with ProcessPoolExecutor(max_workers=size) as ex:
         return list(ex.map(fn, range(count), chunksize=chunk))
 
 
@@ -237,8 +253,7 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
     kept = stat[ok]
     order = np.sort(kept)
     m = order.size
-    quantiles = np.array([std_normal_quantile((k - 0.5) / m) for k in range(1, m + 1)]) \
-        if m else np.empty(0)
+    quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
     ks = ks_normal_distance(order) if m else math.nan
 
     scaled_err = np.sqrt(spec.n) * (c_hat[ok] - c_true[ok])
@@ -312,8 +327,7 @@ def _contour_replication(spec: ContourSpec, n: int, rep: int):
 
     q_lo = quarticity(path, min(spec.s, spec.t))
     q_hi = quarticity(path, max(spec.s, spec.t))
-    g_sum = g_t + g_s
-    v_grid = 2.0 * (q_lo * g_sum * g_sum + (q_hi - q_lo) * g_t * g_t)
+    v_grid = variance_quadratic_form(g_t, g_s, q_hi, q_lo)
     half = std_normal_quantile(0.5 * (1.0 + spec.level)) * np.sqrt(v_grid / n)
 
     lo = np.maximum(center - half, fre_lo)
@@ -384,14 +398,36 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
 
 # --- rho --------------------------------------------------------------------
 
-def _true_grid_stack(true_T: np.ndarray, indices: np.ndarray, pairs: list[tuple[int, int]],
-                     ug: np.ndarray, config: KernelConfig) -> list[np.ndarray]:
-    return [psi_grid(float(true_T[indices[i]]), float(true_T[indices[j]]), ug, ug, config)
-            for i, j in pairs]
+def _uv_cells(uv_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """(h - k)^2 and hk at the interior cells u <= v of the (u, v) grid.
+
+    Boundary cells are left out: the kernel takes the same exact value there
+    at every clock, so they add exactly zero to the sup.  The grid is the same
+    on both axes and the kernel symmetric in (u, v), so cells v < u repeat
+    cells u < v bit for bit.
+    """
+    h = ndtri(np.linspace(0.0, 1.0, uv_grid)[1:-1])
+    iu, iv = np.triu_indices(h.size)
+    return (h[iu] - h[iv]) ** 2, h[iu] * h[iv]
 
 
-def _rho_replication(spec: RhoSpec, n: int,
-                     true_stack: list[np.ndarray] | None, rep: int) -> float:
+def _sup_distance(true_clock: np.ndarray, realized_clock: np.ndarray,
+                  d: np.ndarray, b: np.ndarray) -> float:
+    """Sup of |psi(realized) - psi(true)| over ordered time pairs and cells (d, b)."""
+    worst = 0.0
+    if d.size == 0:
+        return worst
+    for i in range(true_clock.size):
+        for j in range(i + 1, true_clock.size):
+            theta0 = clock_angle(float(true_clock[i]), float(true_clock[j]))
+            theta1 = clock_angle(float(realized_clock[i]), float(realized_clock[j]))
+            gap = float(np.max(np.abs(psi_difference(d, b, theta0, theta1))))
+            if gap > worst:
+                worst = gap
+    return worst
+
+
+def _rho_replication(spec: RhoSpec, n: int, d: np.ndarray, b: np.ndarray, rep: int) -> float:
     cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
     scn = simulate_scenario(spec.vol, cfg)
@@ -399,19 +435,7 @@ def _rho_replication(spec: RhoSpec, n: int,
     tg = spec.time_grid()
     indices = np.array([path.index_at(float(tv)) for tv in tg])
     rv = np.array([realized_variation(path, float(tv)) for tv in tg])
-    ug = np.linspace(0.0, 1.0, spec.uv_grid)
-
-    pairs = [(i, j) for i in range(tg.size) for j in range(i + 1, tg.size)]
-    if true_stack is None:
-        true_stack = _true_grid_stack(scn.true_T, indices, pairs, ug, DEFAULT_KERNEL)
-
-    worst = 0.0
-    for k, (i, j) in enumerate(pairs):
-        est = psi_grid(float(rv[i]), float(rv[j]), ug, ug)
-        gap = float(np.max(np.abs(est - true_stack[k])))
-        if gap > worst:
-            worst = gap
-    return worst
+    return _sup_distance(scn.true_T[indices], rv, d, b)
 
 
 def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
@@ -419,26 +443,17 @@ def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
 
     The sup runs over ordered time pairs from the spec's grid (the kernel
     is symmetric, so unordered pairs add nothing) and the full (u, v)
-    grid; boundary cells contribute exactly zero by construction.
+    grid; boundary cells contribute exactly zero by construction.  Each
+    cell's distance is an integral over the correlation, from the true
+    clock's to the realized clock's (:func:`~hfcopula.kernel.psi_difference`).
     """
     tables = {}
     meta_per_n = {}
-    ug = np.linspace(0.0, 1.0, spec.uv_grid)
-    tg = spec.time_grid()
-    pairs = [(i, j) for i in range(tg.size) for j in range(i + 1, tg.size)]
+    d, b = _uv_cells(spec.uv_grid)
 
     for n in spec.n_list:
-        true_stack = None
-        if isinstance(spec.vol, ConstantVol):
-            # the time change is deterministic: hoist the true grids out of
-            # the replication loop
-            cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps, seed=spec.seed)
-            scn = simulate_scenario(spec.vol, cfg)
-            indices = np.array([scn.path.index_at(float(tv)) for tv in tg])
-            true_stack = _true_grid_stack(scn.true_T, indices, pairs, ug, DEFAULT_KERNEL)
-
         samples = np.array(_map_replications(
-            partial(_rho_replication, spec, n, true_stack), spec.replications, workers))
+            partial(_rho_replication, spec, n, d, b), spec.replications, workers))
 
         tables[f"rho_samples_n{n}"] = {
             "replication": np.arange(spec.replications),
@@ -500,11 +515,9 @@ def ks_normal_distance(sorted_sample: np.ndarray) -> float:
     m = x.size
     if m < 1:
         raise ValueError("need at least 1 sample")
-    d = 0.0
-    for i in range(m):
-        f = std_normal_cdf(float(x[i]))
-        d = max(d, (i + 1) / m - f, f - i / m)
-    return d
+    f = ndtr(x)
+    ranks = np.arange(1, m + 1)
+    return float(max(np.max(ranks / m - f), np.max(f - (ranks - 1) / m)))
 
 
 # --- emission ----------------------------------------------------------------

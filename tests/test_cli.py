@@ -249,6 +249,25 @@ def test_workers_flag_does_not_change_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_rho_workers_flag_does_not_change_bytes(tmp_path):
+    base = ["--command", "rho", "--n-list", "100,400", "--replications", "4",
+            "--uv-grid", "11", "--constant-vol", "1.0", "--seed", "3"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(base + ["--workers", "1", "--out", str(a)]) == 0
+    assert main(base + ["--workers", "2", "--out", str(b)]) == 0
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["simulate", "qq"])
+def test_workers_below_one_exits_2(tmp_path, command):
+    out = tmp_path / "o"
+    assert main(["--command", command, "--workers", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_bad_spec_value_exits_2(tmp_path, capsys):
     code = main(["--command", "qq", "--u", "0.0", "--out", str(tmp_path / "o")])
     assert code == 2

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from hfcopula.experiments import (
     ExperimentReport,
     QqSpec,
     RhoSpec,
+    _pool_size,
     _rho_replication,
+    _sup_distance,
+    _uv_cells,
     kde_log,
     ks_normal_distance,
     run_contour,
@@ -156,25 +160,47 @@ def test_rho_samples_in_unit_interval_and_off_boundary():
     assert np.all(rho > 0.0)
 
 
+def _realized_clock(spec, n, seed):
+    scn = simulate_scenario(spec.vol, SimConfig(n=n, horizon=spec.horizon,
+                                                substeps=spec.substeps, seed=seed))
+    times = spec.time_grid()
+    true = scn.true_T[[scn.path.index_at(float(t)) for t in times]]
+    return true, np.array([realized_variation(scn.path, float(t)) for t in times])
+
+
 def test_rho_against_itself_is_zero():
     spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11, vol=ConstantVol(1.0))
-    n = 100
-    scn = simulate_scenario(spec.vol, SimConfig(n=n, horizon=spec.horizon,
-                                                substeps=spec.substeps, seed=spec.seed))
-    times = spec.time_grid()
-    rvs = [realized_variation(scn.path, float(t)) for t in times]
-    ug = np.linspace(0.0, 1.0, spec.uv_grid)
-    stack = np.stack([psi_grid(rvs[i], rvs[j], ug, ug)
-                      for i in range(len(rvs)) for j in range(i + 1, len(rvs))])
-    assert _rho_replication(spec, n, stack, 0) == 0.0
+    _, rv = _realized_clock(spec, 100, spec.seed)
+    d, b = _uv_cells(spec.uv_grid)
+    assert _sup_distance(rv, rv, d, b) == 0.0
 
 
 def test_rho_transpose_invariance():
-    scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=1))
-    ug = np.linspace(0.0, 1.0, 11)
-    a = realized_variation(scn.path, 0.3)
-    b = realized_variation(scn.path, 0.8)
-    np.testing.assert_array_equal(psi_grid(a, b, ug, ug), psi_grid(b, a, ug, ug))
+    """Reversing the time grid swaps the two times of every pair."""
+    spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11)
+    true, rv = _realized_clock(spec, 100, 1)
+    d, b = _uv_cells(spec.uv_grid)
+    assert _sup_distance(true[::-1], rv[::-1], d, b) == _sup_distance(true, rv, d, b)
+
+
+def test_rho_matches_kernel_grid_differences():
+    """At criterion 4's settings, on a coarser grid, the sup agrees with the
+    one taken over differences of two psi_grid evaluations."""
+    spec = RhoSpec(n_list=(2500,), replications=1, uv_grid=21, vol=ConstantVol(1.0))
+    ug = np.linspace(0.0, 1.0, spec.uv_grid)
+    for seed in (0, 1):
+        true, rv = _realized_clock(spec, 2500, seed)
+        ref = max(float(np.max(np.abs(psi_grid(rv[i], rv[j], ug, ug)
+                                      - psi_grid(true[i], true[j], ug, ug))))
+                  for i in range(rv.size) for j in range(i + 1, rv.size))
+        assert _rho_replication(spec, 2500, *_uv_cells(spec.uv_grid), seed) == \
+            pytest.approx(ref, rel=1e-9)
+
+
+def test_rho_without_interior_cells_is_zero():
+    rep = run_rho(RhoSpec(n_list=(100,), replications=2, uv_grid=2, vol=ConstantVol(1.0)))
+    assert np.all(rep.tables["rho_samples_n100"]["rho"] == 0.0)
+    assert rep.metadata["per_n"]["100"]["kde"] is False
 
 
 def test_rho_metadata_reference_rate():
@@ -244,6 +270,16 @@ def test_metadata_echoes_cir_parameters():
                                   vol=CirParams(0.6, 1.4, 1.1, 1.2)))
     vol = rep.metadata["spec"]["vol"]
     assert vol == {"model": "cir", "kappa": 0.6, "theta": 1.4, "nu": 1.1, "s0": 1.2}
+
+
+def test_pool_size_clamp():
+    assert _pool_size(1, 10) == 1
+    assert _pool_size(2, 1) == 1
+    assert _pool_size(3, 2) <= 2
+    assert _pool_size(2, 10) == min(2, os.cpu_count() or 1)
+    for bad in (0, -1, 1.5, "2"):
+        with pytest.raises(ValueError, match="workers"):
+            _pool_size(bad, 10)
 
 
 def test_workers_do_not_change_results():

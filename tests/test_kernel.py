@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
+from scipy.stats import multivariate_normal
 
 from hfcopula.gaussmath import QuadratureConfig, QuadratureError
 from hfcopula.kernel import (
@@ -11,9 +13,11 @@ from hfcopula.kernel import (
     NearDiagonalError,
     TimePair,
     UnitPair,
+    clock_angle,
     grad_psi,
     grad_psi_grid,
     psi,
+    psi_difference,
     psi_grid,
 )
 
@@ -221,3 +225,51 @@ def test_grid_input_validation():
         psi_grid(0.3, 0.7, np.array([-0.1, 0.5]), good)  # out of range
     with pytest.raises(ValueError):
         grad_psi_grid(0.7, 0.3, good, good)  # s >= t
+
+
+def _bvn_cdf(h, k, s, t):
+    """Phi2(h, k; sqrt(min/max)) from scipy, independent of the library."""
+    lo, hi = min(s, t), max(s, t)
+    r = math.sqrt(lo / hi)
+    if r == 1.0:
+        return np.minimum(ndtr(h), ndtr(k))
+    dist = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]])
+    return dist.cdf(np.column_stack([h, k]))
+
+
+@pytest.mark.parametrize("before, after", [
+    ((0.0, 1.0), (0.99 ** 2, 1.0)),           # rho 0 -> 0.99, from the lo == 0 branch
+    ((0.25, 1.0), (0.9999 ** 2, 1.0)),        # wide range ending near 1
+    ((0.99 ** 2, 1.0), (0.99999 ** 2, 1.0)),
+    ((0.7, 0.3), (0.31, 0.7)),                # narrow, times in either order
+    ((2.0, 1.0), (0.5, 2.0)),                 # correlation falls
+    ((1.0, 1.0 + 1e-4), (1.0, 1.0 + 2e-4)),   # relative clock gaps of 1e-4
+    ((0.5, 1.0), (1.0, 1.0 + 1e-4)),
+    ((0.5, 1.0), (1.0, 1.0)),                 # to the diagonal branch, rho = 1
+])
+def test_psi_difference_matches_bivariate_normal(before, after):
+    ug = np.linspace(0.0, 1.0, 21)[1:-1]
+    hh, kk = np.meshgrid(ndtri(ug), ndtri(ug), indexing="ij")
+    h, k = hh.ravel(), kk.ravel()
+    got = psi_difference((h - k) ** 2, h * k, clock_angle(*before), clock_angle(*after))
+    ref = _bvn_cdf(h, k, *after) - _bvn_cdf(h, k, *before)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+def test_psi_difference_equal_angles_is_zero():
+    h = ndtri(np.linspace(0.05, 0.95, 7))
+    theta = clock_angle(0.3, 0.7)
+    assert np.all(psi_difference((h - h[::-1]) ** 2, h * h[::-1], theta, theta) == 0.0)
+
+
+def test_clock_angle_branches():
+    assert clock_angle(0.0, 0.0) == 0.0
+    assert clock_angle(0.0, 1.0) == 0.0
+    assert clock_angle(1.0, 1.0) == 0.5 * math.pi
+    assert clock_angle(1.0, 1.0 + 1e-13) == 0.5 * math.pi
+    assert clock_angle(0.3, 0.7) == clock_angle(0.7, 0.3)
+    assert math.sin(clock_angle(1.0, 2.0)) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+    with pytest.raises(ValueError):
+        clock_angle(-0.1, 1.0)
+    with pytest.raises(ValueError):
+        clock_angle(0.5, math.nan)
