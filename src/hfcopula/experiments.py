@@ -40,6 +40,7 @@ from .kernel import (
     psi,
     psi_difference,
     psi_grid,
+    uv_cells,
 )
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
@@ -398,19 +399,6 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
 
 # --- rho --------------------------------------------------------------------
 
-def _uv_cells(uv_grid: int) -> tuple[np.ndarray, np.ndarray]:
-    """(h - k)^2 and hk at the interior cells u <= v of the (u, v) grid.
-
-    Boundary cells are left out: the kernel takes the same exact value there
-    at every clock, so they add exactly zero to the sup.  The grid is the same
-    on both axes and the kernel symmetric in (u, v), so cells v < u repeat
-    cells u < v bit for bit.
-    """
-    h = ndtri(np.linspace(0.0, 1.0, uv_grid)[1:-1])
-    iu, iv = np.triu_indices(h.size)
-    return (h[iu] - h[iv]) ** 2, h[iu] * h[iv]
-
-
 def _sup_distance(true_clock: np.ndarray, realized_clock: np.ndarray,
                   d: np.ndarray, b: np.ndarray) -> float:
     """Sup of |psi(realized) - psi(true)| over ordered time pairs and cells (d, b)."""
@@ -449,7 +437,7 @@ def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
     """
     tables = {}
     meta_per_n = {}
-    d, b = _uv_cells(spec.uv_grid)
+    d, b = uv_cells(np.linspace(0.0, 1.0, spec.uv_grid))
 
     for n in spec.n_list:
         samples = np.array(_map_replications(

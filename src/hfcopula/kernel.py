@@ -35,6 +35,7 @@ __all__ = [
     "psi_grid",
     "grad_psi_grid",
     "clock_angle",
+    "uv_cells",
     "psi_difference",
 ]
 
@@ -453,11 +454,28 @@ def clock_angle(s: float, t: float, config: KernelConfig = DEFAULT_KERNEL) -> fl
     return math.atan2(math.sqrt(lo), math.sqrt(hi - lo))
 
 
+def uv_cells(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cells ``(d, b)`` of the product grid ``grid x grid`` for :func:`psi_difference`.
+
+    ``d = (h - k)**2`` and ``b = h * k`` with ``h = Phi^-1(u)``,
+    ``k = Phi^-1(v)``, for the interior cells ``u <= v``, in the order of
+    ``np.triu_indices`` over the interior points.  Cells with u or v in
+    {0, 1} are left out: the kernel takes the same exact value there at
+    every clock, so their differences are exactly zero.  The kernel is
+    symmetric in (u, v), so cells v < u would repeat cells u < v bit for bit.
+    """
+    g = _validate_grid("grid", grid)
+    h = ndtri(g[(g > 0.0) & (g < 1.0)])
+    iu, iv = np.triu_indices(h.size)
+    return (h[iu] - h[iv]) ** 2, h[iu] * h[iv]
+
+
 def psi_difference(d, b, theta0: float, theta1: float) -> np.ndarray:
     """Kernel value at angle ``theta1`` minus its value at ``theta0``, per cell.
 
     A cell at (u, v) is given by ``d = (h - k)**2`` and ``b = h * k`` with
-    ``h = Phi^-1(u)``, ``k = Phi^-1(v)``; the angles are :func:`clock_angle`
+    ``h = Phi^-1(u)``, ``k = Phi^-1(v)``, as :func:`uv_cells` builds them;
+    the angles are :func:`clock_angle`
     values in [0, pi/2].  The result is exactly zero when the angles are
     equal, and otherwise within 2e-14 absolute of the difference of the two
     bivariate normal CDF values, by the bound above.

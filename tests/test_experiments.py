@@ -17,7 +17,6 @@ from hfcopula.experiments import (
     _pool_size,
     _rho_replication,
     _sup_distance,
-    _uv_cells,
     kde_log,
     ks_normal_distance,
     run_contour,
@@ -26,7 +25,7 @@ from hfcopula.experiments import (
     write_csv,
     write_report,
 )
-from hfcopula.kernel import psi_grid
+from hfcopula.kernel import psi_grid, uv_cells
 from hfcopula.simulate import CirParams, ConstantVol, SimConfig, simulate_scenario
 
 
@@ -168,10 +167,14 @@ def _realized_clock(spec, n, seed):
     return true, np.array([realized_variation(scn.path, float(t)) for t in times])
 
 
+def _cells(spec):
+    return uv_cells(np.linspace(0.0, 1.0, spec.uv_grid))
+
+
 def test_rho_against_itself_is_zero():
     spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11, vol=ConstantVol(1.0))
     _, rv = _realized_clock(spec, 100, spec.seed)
-    d, b = _uv_cells(spec.uv_grid)
+    d, b = _cells(spec)
     assert _sup_distance(rv, rv, d, b) == 0.0
 
 
@@ -179,7 +182,7 @@ def test_rho_transpose_invariance():
     """Reversing the time grid swaps the two times of every pair."""
     spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11)
     true, rv = _realized_clock(spec, 100, 1)
-    d, b = _uv_cells(spec.uv_grid)
+    d, b = _cells(spec)
     assert _sup_distance(true[::-1], rv[::-1], d, b) == _sup_distance(true, rv, d, b)
 
 
@@ -193,7 +196,7 @@ def test_rho_matches_kernel_grid_differences():
         ref = max(float(np.max(np.abs(psi_grid(rv[i], rv[j], ug, ug)
                                       - psi_grid(true[i], true[j], ug, ug))))
                   for i in range(rv.size) for j in range(i + 1, rv.size))
-        assert _rho_replication(spec, 2500, *_uv_cells(spec.uv_grid), seed) == \
+        assert _rho_replication(spec, 2500, *_cells(spec), seed) == \
             pytest.approx(ref, rel=1e-9)
 
 

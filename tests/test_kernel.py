@@ -19,6 +19,7 @@ from hfcopula.kernel import (
     psi,
     psi_difference,
     psi_grid,
+    uv_cells,
 )
 
 # P(Z1 <= Phi^-1(0.7), Z2 <= Phi^-1(0.3)) at corr sqrt(3/7); mpmath double
@@ -200,6 +201,14 @@ def test_grid_degenerate_time_branches():
                                   np.multiply.outer(ug, vg))
 
 
+def test_grid_time_symmetry_exact():
+    rng = np.random.default_rng(5)
+    ug = np.linspace(0.0, 1.0, 11)
+    for _ in range(5):
+        s, t = rng.uniform(0.05, 3.0, size=2)
+        np.testing.assert_array_equal(psi_grid(s, t, ug, ug), psi_grid(t, s, ug, ug))
+
+
 def test_grad_grid_matches_scalar_route():
     ug = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
     vg = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
@@ -248,18 +257,26 @@ def _bvn_cdf(h, k, s, t):
     ((0.5, 1.0), (1.0, 1.0)),                 # to the diagonal branch, rho = 1
 ])
 def test_psi_difference_matches_bivariate_normal(before, after):
-    ug = np.linspace(0.0, 1.0, 21)[1:-1]
-    hh, kk = np.meshgrid(ndtri(ug), ndtri(ug), indexing="ij")
-    h, k = hh.ravel(), kk.ravel()
-    got = psi_difference((h - k) ** 2, h * k, clock_angle(*before), clock_angle(*after))
+    ug = np.linspace(0.0, 1.0, 21)
+    iu, iv = np.triu_indices(ug.size - 2)
+    h, k = ndtri(ug[1:-1][iu]), ndtri(ug[1:-1][iv])
+    got = psi_difference(*uv_cells(ug), clock_angle(*before), clock_angle(*after))
     ref = _bvn_cdf(h, k, *after) - _bvn_cdf(h, k, *before)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_psi_difference_equal_angles_is_zero():
-    h = ndtri(np.linspace(0.05, 0.95, 7))
     theta = clock_angle(0.3, 0.7)
-    assert np.all(psi_difference((h - h[::-1]) ** 2, h * h[::-1], theta, theta) == 0.0)
+    d, b = uv_cells(np.linspace(0.05, 0.95, 7))
+    assert np.all(psi_difference(d, b, theta, theta) == 0.0)
+
+
+def test_uv_cells_interior_upper_triangle():
+    d, b = uv_cells(np.linspace(0.0, 1.0, 6))
+    assert d.shape == b.shape == (10,)  # 4 interior points, cells u <= v
+    assert uv_cells(np.array([0.0, 1.0]))[0].size == 0
+    with pytest.raises(ValueError):
+        uv_cells(np.array([0.5, 0.2]))
 
 
 def test_clock_angle_branches():
