@@ -33,20 +33,8 @@ from .experiments import (
     write_csv,
     write_report,
 )
-from .gaussmath import (
-    QuadratureConfig,
-    QuadratureError,
-    integrate,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
 from .kernel import (
-    DEFAULT_KERNEL,
-    KernelConfig,
     NearDiagonalError,
-    TimePair,
-    UnitPair,
     grad_psi,
     grad_psi_grid,
     psi,
@@ -87,17 +75,7 @@ __all__ = [
     "run_rho",
     "write_csv",
     "write_report",
-    "QuadratureConfig",
-    "QuadratureError",
-    "integrate",
-    "std_normal_cdf",
-    "std_normal_pdf",
-    "std_normal_quantile",
-    "DEFAULT_KERNEL",
-    "KernelConfig",
     "NearDiagonalError",
-    "TimePair",
-    "UnitPair",
     "grad_psi",
     "grad_psi_grid",
     "psi",

@@ -6,8 +6,8 @@ defaults, then a JSON config file, then command-line flags.  All outputs
 are UTF-8 CSV plus a JSON metadata file that echoes the resolved settings,
 so any output directory is reproducible from its own metadata.
 
-Exit codes: 0 success, 2 config or validation error, 3 numerical failure,
-4 I/O or input-data error.
+Exit codes: 0 success, 2 config or validation error, 3 numerical failure
+(realized variations that coincide), 4 I/O or input-data error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .experiments import (
     write_csv,
     write_report,
 )
-from .gaussmath import QuadratureError
 from .kernel import NearDiagonalError
 from .simulate import CirParams, ConstantVol, SimConfig, simulate_scenario
 
@@ -40,15 +39,9 @@ __all__ = ["main"]
 
 _COMMANDS = ("simulate", "estimate", "contour", "qq", "rho")
 
-# every key a config file may set; anything else is a config error
-_CONFIG_KEYS = {
-    "command", "seed", "out", "workers",
-    "n", "n_list", "horizon", "substeps",
-    "kappa", "theta", "nu", "s0", "constant_vol",
-    "s", "t", "u", "v", "level",
-    "uv_grid", "st_step", "tau", "replications",
-    "input", "queries",
-}
+# flags that only the command line takes; every other flag's key may also
+# be set in a config file
+_FLAG_ONLY = {"help", "version", "config", "verbose"}
 
 
 class ConfigError(ValueError):
@@ -98,6 +91,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--input", help="path CSV to estimate from (columns: time,X)")
     q.add_argument("--queries", help="query CSV (columns: s,t,u,v[,level])")
     return p
+
+
+# every key a config file may set; anything else is a config error
+_CONFIG_KEYS = frozenset(a.dest for a in _build_parser()._actions) - _FLAG_ONLY
 
 
 def _load_config_file(path: Path) -> dict:
@@ -386,9 +383,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NearDiagonalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

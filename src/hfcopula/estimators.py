@@ -12,17 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
-from .kernel import (
-    DEFAULT_KERNEL,
-    KernelConfig,
-    NearDiagonalError,
-    TimePair,
-    UnitPair,
-    grad_psi,
-    psi,
-)
-from .gaussmath import std_normal_quantile
+from .kernel import DIAG_REL_TOL, NearDiagonalError, grad_psi, psi
 
 __all__ = [
     "SampledPath",
@@ -133,13 +125,9 @@ def quarticity(path: SampledPath, t: float) -> float:
     return float(path.n / 3.0 * path._q4_prefix[path.index_at(t)])
 
 
-def copula_estimate(
-    path: SampledPath, q: CopulaQuery, config: KernelConfig = DEFAULT_KERNEL
-) -> float:
+def copula_estimate(path: SampledPath, q: CopulaQuery) -> float:
     """Plug-in copula value: the kernel evaluated at the realized variations."""
-    rv_s = realized_variation(path, q.s)
-    rv_t = realized_variation(path, q.t)
-    return psi(TimePair(rv_s, rv_t), UnitPair(q.u, q.v), config)
+    return psi(realized_variation(path, q.s), realized_variation(path, q.t), q.u, q.v)
 
 
 def variance_quadratic_form(g_t: float, g_s: float, q_t: float, q_s: float) -> float:
@@ -155,9 +143,7 @@ def variance_quadratic_form(g_t: float, g_s: float, q_t: float, q_s: float) -> f
     return 2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t)
 
 
-def variance_estimate(
-    path: SampledPath, q: CopulaQuery, config: KernelConfig = DEFAULT_KERNEL
-) -> float:
+def variance_estimate(path: SampledPath, q: CopulaQuery) -> float:
     """Feasible asymptotic variance of the plug-in estimate at query q.
 
     The kernel gradient is taken at the realized-variation pair and paired
@@ -173,47 +159,43 @@ def variance_estimate(
     t_hi = max(q.s, q.t)
     rv_lo = realized_variation(path, t_lo)
     rv_hi = realized_variation(path, t_hi)
-    if rv_hi - rv_lo <= config.diag_rel_tol * rv_hi:
+    if rv_hi - rv_lo <= DIAG_REL_TOL * rv_hi:
         raise NearDiagonalError(
             "realized variations nearly coincide: "
             f"[X]_s={rv_lo!r}, [X]_t={rv_hi!r}"
         )
-    g_t, g_s = grad_psi(TimePair(rv_lo, rv_hi), UnitPair(q.u, q.v), config)
+    g_t, g_s = grad_psi(rv_lo, rv_hi, q.u, q.v)
     q_lo = quarticity(path, t_lo)
     q_hi = quarticity(path, t_hi)
     return variance_quadratic_form(g_t, g_s, q_hi, q_lo)
 
 
-def interval_bounds(
-    c_hat: float, v_hat: float, n: int, u: float, v: float, level: float
-) -> tuple[float, float, float]:
+def interval_bounds(c_hat, v_hat, n: int, u, v, level: float):
     """Studentized interval endpoints clipped to the Frechet bounds.
 
     Returns (center, lo, hi) where the center is c_hat clipped into the
-    Frechet box (quadrature can overshoot it by its tolerance).
+    Frechet box (the kernel can overshoot it by its rounding).  ``c_hat``,
+    ``v_hat``, ``u`` and ``v`` may be broadcastable arrays; each element
+    gets the same arithmetic as a scalar call.
     """
-    fre_lo = max(u + v - 1.0, 0.0)
-    fre_hi = min(u, v)
-    center = min(max(c_hat, fre_lo), fre_hi)
-    half = std_normal_quantile(0.5 * (1.0 + level)) * math.sqrt(v_hat / n)
-    return center, max(center - half, fre_lo), min(center + half, fre_hi)
+    fre_lo = np.maximum(u + v - 1.0, 0.0)
+    fre_hi = np.minimum(u, v)
+    center = np.clip(c_hat, fre_lo, fre_hi)
+    half = ndtri(0.5 * (1.0 + level)) * np.sqrt(v_hat / n)
+    return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
 
 
-def confidence_interval(
-    path: SampledPath, q: CopulaQuery, level: float, config: KernelConfig = DEFAULT_KERNEL
-) -> CopulaEstimate:
+def confidence_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:
     """Plug-in estimate with a studentized confidence interval at ``level``."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    c_hat = copula_estimate(path, q, config)
-    v_hat = variance_estimate(path, q, config)
+    c_hat = copula_estimate(path, q)
+    v_hat = variance_estimate(path, q)
     center, lo, hi = interval_bounds(c_hat, v_hat, path.n, q.u, q.v, level)
     return CopulaEstimate(c_hat=center, v_hat=v_hat, ci_lo=lo, ci_hi=hi, level=level)
 
 
-def boundary_aware_interval(
-    path: SampledPath, q: CopulaQuery, level: float, config: KernelConfig = DEFAULT_KERNEL
-) -> CopulaEstimate:
+def boundary_aware_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:
     """Like :func:`confidence_interval`, but degenerate on the unit-square boundary.
 
     At u or v in {0, 1} the copula value is forced by the axioms and the
@@ -221,6 +203,6 @@ def boundary_aware_interval(
     no gradient is needed.
     """
     if q.u in (0.0, 1.0) or q.v in (0.0, 1.0):
-        c_hat = copula_estimate(path, q, config)
+        c_hat = copula_estimate(path, q)
         return CopulaEstimate(c_hat=c_hat, v_hat=0.0, ci_lo=c_hat, ci_hi=c_hat, level=level)
-    return confidence_interval(path, q, level, config)
+    return confidence_interval(path, q, level)

@@ -25,16 +25,14 @@ from . import __version__
 from .estimators import (
     CopulaQuery,
     copula_estimate,
+    interval_bounds,
     quarticity,
     realized_variation,
     variance_estimate,
     variance_quadratic_form,
 )
-from .gaussmath import std_normal_quantile
 from .kernel import (
     NearDiagonalError,
-    TimePair,
-    UnitPair,
     clock_angle,
     grad_psi_grid,
     psi,
@@ -71,9 +69,24 @@ def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf) -> 
     return float(val)
 
 
-def _check_vol(vol) -> None:
-    if not isinstance(vol, (CirParams, ConstantVol)):
-        raise ValueError(f"vol must be CirParams or ConstantVol, got {vol!r}")
+def _check_spec(spec) -> None:
+    """Checks of the fields every spec has, and of ``n_list``/``uv_grid`` where present.
+
+    Runs first in each spec, so that the spec's own checks may rely on a
+    valid ``horizon``.
+    """
+    _check_real("horizon", spec.horizon, lo=0.0)
+    _check_pos_int("replications", spec.replications)
+    _check_pos_int("seed", spec.seed, minimum=0)
+    _check_pos_int("substeps", spec.substeps)
+    if not isinstance(spec.vol, (CirParams, ConstantVol)):
+        raise ValueError(f"vol must be CirParams or ConstantVol, got {spec.vol!r}")
+    if hasattr(spec, "n_list"):
+        object.__setattr__(spec, "n_list", tuple(_check_pos_int("n", n) for n in spec.n_list))
+        if not spec.n_list:
+            raise ValueError("n_list must not be empty")
+    if hasattr(spec, "uv_grid") and _check_pos_int("uv_grid", spec.uv_grid) < 2:
+        raise ValueError(f"uv_grid must be >= 2, got {spec.uv_grid!r}")
 
 
 @dataclass(frozen=True)
@@ -92,22 +105,13 @@ class ContourSpec:
     vol: CirParams | ConstantVol = DEFAULT_CIR
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n_list", tuple(_check_pos_int("n", n) for n in self.n_list))
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        _check_real("horizon", self.horizon, lo=0.0)
+        _check_spec(self)
         if not 0.0 < self.s < self.t <= self.horizon:
             raise ValueError(
                 f"need 0 < s < t <= horizon, got s={self.s!r}, t={self.t!r}, "
                 f"horizon={self.horizon!r}"
             )
-        if _check_pos_int("uv_grid", self.uv_grid) < 2:
-            raise ValueError(f"uv_grid must be >= 2, got {self.uv_grid!r}")
         _check_real("level", self.level, lo=0.0, hi=1.0)
-        _check_pos_int("replications", self.replications)
-        _check_pos_int("seed", self.seed, minimum=0)
-        _check_pos_int("substeps", self.substeps)
-        _check_vol(self.vol)
 
 
 @dataclass(frozen=True)
@@ -126,7 +130,7 @@ class QqSpec:
     vol: CirParams | ConstantVol = DEFAULT_CIR
 
     def __post_init__(self) -> None:
-        _check_real("horizon", self.horizon, lo=0.0)
+        _check_spec(self)
         if not 0.0 < self.s < self.t <= self.horizon:
             raise ValueError(
                 f"need 0 < s < t <= horizon, got s={self.s!r}, t={self.t!r}, "
@@ -135,10 +139,6 @@ class QqSpec:
         _check_real("u", self.u, lo=0.0, hi=1.0)
         _check_real("v", self.v, lo=0.0, hi=1.0)
         _check_pos_int("n", self.n)
-        _check_pos_int("replications", self.replications)
-        _check_pos_int("seed", self.seed, minimum=0)
-        _check_pos_int("substeps", self.substeps)
-        _check_vol(self.vol)
 
 
 @dataclass(frozen=True)
@@ -156,18 +156,9 @@ class RhoSpec:
     vol: CirParams | ConstantVol = DEFAULT_CIR
 
     def __post_init__(self) -> None:
-        _check_real("horizon", self.horizon, lo=0.0)
+        _check_spec(self)
         _check_real("tau", self.tau, lo=0.0, hi=self.horizon)
         _check_real("st_step", self.st_step, lo=0.0)
-        if _check_pos_int("uv_grid", self.uv_grid) < 2:
-            raise ValueError(f"uv_grid must be >= 2, got {self.uv_grid!r}")
-        object.__setattr__(self, "n_list", tuple(_check_pos_int("n", n) for n in self.n_list))
-        if not self.n_list:
-            raise ValueError("n_list must not be empty")
-        _check_pos_int("replications", self.replications)
-        _check_pos_int("seed", self.seed, minimum=0)
-        _check_pos_int("substeps", self.substeps)
-        _check_vol(self.vol)
 
     def time_grid(self) -> np.ndarray:
         count = int(math.floor((self.horizon - self.tau) / self.st_step + 1e-9)) + 1
@@ -222,8 +213,7 @@ def _qq_replication(spec: QqSpec, rep: int) -> tuple[float, float, float, str]:
     path = scn.path
     i_s = path.index_at(spec.s)
     i_t = path.index_at(spec.t)
-    c_true = psi(TimePair(float(scn.true_T[i_s]), float(scn.true_T[i_t])),
-                 UnitPair(spec.u, spec.v))
+    c_true = psi(float(scn.true_T[i_s]), float(scn.true_T[i_t]), spec.u, spec.v)
     q = CopulaQuery(s=spec.s, t=spec.t, u=spec.u, v=spec.v)
     c_hat = copula_estimate(path, q)
     try:
@@ -262,7 +252,7 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
         "near_diagonal": int(sum(r[3] == "near_diagonal" for r in rows)),
         "degenerate": int(sum(r[3] == "degenerate" for r in rows)),
     }
-    z975 = std_normal_quantile(0.975)
+    z975 = ndtri(0.975)
     metadata = {
         "kind": "qq",
         "version": __version__,
@@ -309,30 +299,22 @@ def _contour_replication(spec: ContourSpec, n: int, rep: int):
     rv_t = realized_variation(path, spec.t)
     c_hat = psi_grid(rv_s, rv_t, ug, ug)
 
-    fre_lo = np.maximum(np.add.outer(ug, ug) - 1.0, 0.0)
-    fre_hi = np.minimum.outer(ug, ug)
-    center = np.clip(c_hat, fre_lo, fre_hi)
-
-    boundary = np.zeros((spec.uv_grid, spec.uv_grid), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-
     try:
         g_t, g_s = grad_psi_grid(rv_s, rv_t, ug, ug)
     except ValueError:
         # realized variations coincide (or degenerate to zero): no interval
         # exists at interior cells for this replication
-        lo = np.where(boundary, center, np.nan)
-        hi = np.where(boundary, center, np.nan)
-        return c_true, c_hat, lo, hi
+        v_grid = np.full(c_hat.shape, np.nan)
+    else:
+        q_lo = quarticity(path, min(spec.s, spec.t))
+        q_hi = quarticity(path, max(spec.s, spec.t))
+        v_grid = variance_quadratic_form(g_t, g_s, q_hi, q_lo)
+    center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :], spec.level)
 
-    q_lo = quarticity(path, min(spec.s, spec.t))
-    q_hi = quarticity(path, max(spec.s, spec.t))
-    v_grid = variance_quadratic_form(g_t, g_s, q_hi, q_lo)
-    half = std_normal_quantile(0.5 * (1.0 + spec.level)) * np.sqrt(v_grid / n)
-
-    lo = np.maximum(center - half, fre_lo)
-    hi = np.minimum(center + half, fre_hi)
+    # the interval is a point on the boundary of the unit square
+    boundary = np.zeros((spec.uv_grid, spec.uv_grid), dtype=bool)
+    boundary[0, :] = boundary[-1, :] = True
+    boundary[:, 0] = boundary[:, -1] = True
     lo[boundary] = center[boundary]
     hi[boundary] = center[boundary]
     return c_true, c_hat, lo, hi

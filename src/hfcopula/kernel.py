@@ -2,34 +2,25 @@
 
 The kernel psi(s, t; u, v) is the copula of a Brownian motion observed at
 two times, as a function of its quadratic-variation clock values at those
-times.  All case branches (diagonal, zero times, unit-square boundary) are
-resolved here so that callers never feed invalid arguments to the normal
-quantile.
+times: the bivariate normal CDF Phi2(h, k; r) at h = Phi^-1(u),
+k = Phi^-1(v) and clock correlation r = sqrt(min/max).  Its value is an
+integral over the correlation (:func:`psi_difference`) and its gradient
+is in closed form (Plackett's identity dPhi2/dr = phi2).  All case
+branches (diagonal, zero times, unit-square boundary) are resolved here
+so that callers never feed invalid arguments to the normal quantile.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-
-from .gaussmath import (
-    QuadratureConfig,
-    QuadratureError,
-    integrate,
-    std_normal_cdf,
-    std_normal_pdf,
-    std_normal_quantile,
-)
+from scipy.special import ndtri
 
 __all__ = [
-    "TimePair",
-    "UnitPair",
-    "KernelConfig",
+    "DIAG_REL_TOL",
     "NearDiagonalError",
-    "DEFAULT_KERNEL",
     "psi",
     "grad_psi",
     "psi_grid",
@@ -39,216 +30,90 @@ __all__ = [
     "psi_difference",
 ]
 
-# below this the quantile is treated as -inf and the integrand as its limit
-_W_FLOOR = 1e-300
+# two clock values closer than this, relative to the larger, count as equal
+DIAG_REL_TOL = 1e-12
 
 
 class NearDiagonalError(ValueError):
     """Gradient requested too close to the diagonal s = t, where it blows up."""
 
 
-@dataclass(frozen=True)
-class TimePair:
-    """Two nonnegative clock values (not necessarily ordered)."""
-
-    s: float
-    t: float
-
-    def __post_init__(self) -> None:
-        for name, val in (("s", self.s), ("t", self.t)):
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise ValueError(f"{name} must be a finite real, got {val!r}")
-            if val < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {val!r}")
+def _unit_values(name: str, val, strict: bool = False) -> np.ndarray:
+    """``val`` as a float array, checked to lie in [0, 1] (in (0, 1) if ``strict``)."""
+    arr = np.asarray(val, dtype=float)
+    inside = (arr > 0.0) & (arr < 1.0) if strict else (arr >= 0.0) & (arr <= 1.0)
+    if not np.all(inside):
+        bounds = "strictly inside (0, 1)" if strict else "within [0, 1]"
+        raise ValueError(f"{name} must lie {bounds}, got {val!r}")
+    return arr
 
 
-@dataclass(frozen=True)
-class UnitPair:
-    """A point of the unit square."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        for name, val in (("u", self.u), ("v", self.v)):
-            if not (isinstance(val, (int, float)) and math.isfinite(val)):
-                raise ValueError(f"{name} must be a finite real, got {val!r}")
-            if not 0.0 <= val <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+def _scalar_or_array(out: np.ndarray, u, v):
+    """A float when ``u`` and ``v`` are both scalars, else the array."""
+    return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Floating-point policy for the kernel's case branches."""
+def psi(s: float, t: float, u, v):
+    """Copula kernel value at clock values ``s``, ``t`` and unit-square points ``(u, v)``.
 
-    diag_rel_tol: float = 1e-12
-    quad: QuadratureConfig = field(default_factory=QuadratureConfig)
-
-    def __post_init__(self) -> None:
-        if not (self.diag_rel_tol >= 0.0 and math.isfinite(self.diag_rel_tol)):
-            raise ValueError(f"diag_rel_tol must be >= 0, got {self.diag_rel_tol!r}")
-
-
-DEFAULT_KERNEL = KernelConfig()
-
-
-def psi(tp: TimePair, up: UnitPair, config: KernelConfig = DEFAULT_KERNEL) -> float:
-    """Copula kernel value at clock pair ``tp`` and unit-square point ``up``.
-
-    Symmetric in (s, t).  Equals min(u, v) on the diagonal (within
-    ``config.diag_rel_tol`` relative distance), u*v when either clock value
-    is zero, and the integral of a normal CDF otherwise.
+    ``u`` and ``v`` are floats or broadcastable arrays; two floats give a
+    float.  Symmetric in (s, t).  Equals 0 where u or v is 0, u where v is
+    1 and v where u is 1; min(u, v) on the diagonal (within
+    ``DIAG_REL_TOL`` relative distance) and u*v when either clock value is
+    zero.  Elsewhere it is u*v plus :func:`psi_difference` from
+    independence to the clocks' correlation.  Both terms are nonnegative,
+    and the quadrature's tolerance is 1e-14 times the smallest u*v of the
+    call (for u*v down to 1e-286), so its error is at most 1e-14 of each
+    value, lower tail included; rounding adds a few ulps.
     """
-    u, v = up.u, up.v
-    # boundary short-circuits come first: the quantile is undefined at 0 and 1
-    if u == 0.0 or v == 0.0:
-        return 0.0
-    if v == 1.0:
-        return u
-    if u == 1.0:
-        return v
-
-    hi = max(tp.s, tp.t)
-    lo = min(tp.s, tp.t)
-    if hi == 0.0:
-        return u * v
-    if hi - lo <= config.diag_rel_tol * hi:
-        return min(u, v)
-    if lo == 0.0:
-        return u * v
-
-    zv = std_normal_quantile(v)
-    a_num = math.sqrt(hi) * zv
-    sq_lo = math.sqrt(lo)
-    inv_gap = 1.0 / math.sqrt(hi - lo)
-
-    def integrand(w: float) -> float:
-        if w < _W_FLOOR:
-            return 1.0
-        return std_normal_cdf((a_num - sq_lo * std_normal_quantile(w)) * inv_gap)
-
-    try:
-        val = integrate(integrand, 0.0, u, config.quad)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"kernel integral failed at (s={tp.s!r}, t={tp.t!r}, u={u!r}, v={v!r}): {exc}",
-            estimate=exc.estimate,
-            error=exc.error,
-        ) from exc
-    return min(max(val, 0.0), 1.0)
+    theta = clock_angle(s, t)
+    u_arr, v_arr = np.broadcast_arrays(_unit_values("u", u), _unit_values("v", v))
+    if theta == 0.5 * math.pi:
+        return _scalar_or_array(np.minimum(u_arr, v_arr), u, v)
+    # u*v is already exact on the boundary of the unit square
+    out = np.array(u_arr * v_arr)
+    inner = (u_arr > 0.0) & (u_arr < 1.0) & (v_arr > 0.0) & (v_arr < 1.0)
+    if theta > 0.0 and np.any(inner):
+        h = ndtri(u_arr[inner])
+        k = ndtri(v_arr[inner])
+        # every cell's value is at least its u*v, so an absolute tolerance
+        # scaled by the smallest u*v is a relative one; the range stops at
+        # least DIAG_REL_TOL**0.5 short of pi/2 and never reaches the sliver
+        tol = max(_DIFF_TOL * float(np.min(out[inner])), _TOL_FLOOR)
+        out[inner] += _angle_integral((h - k) ** 2, h * k, 0.0, theta, tol)
+    return _scalar_or_array(out, u, v)
 
 
-def _check_gradient_times(s: float, t: float, config: KernelConfig) -> None:
-    if s <= 0.0 or s >= t:
+def _check_gradient_times(s: float, t: float) -> None:
+    if not 0.0 < s < t < math.inf:
         raise ValueError(f"gradient requires 0 < s < t strictly, got s={s!r}, t={t!r}")
-    if t - s <= config.diag_rel_tol * t:
+    if t - s <= DIAG_REL_TOL * t:
         raise NearDiagonalError(
             f"times too close for the gradient: t - s = {t - s!r} <= "
-            f"{config.diag_rel_tol!r} * t"
+            f"{DIAG_REL_TOL!r} * t"
         )
 
 
-def grad_psi(
-    tp: TimePair, up: UnitPair, config: KernelConfig = DEFAULT_KERNEL
-) -> tuple[float, float]:
-    """Temporal gradient (d/dt, d/ds) of the kernel, for 0 < s < t.
+def grad_psi(s: float, t: float, u, v):
+    """Temporal gradient (d/dt, d/ds) of the kernel, for 0 < s < t and interior u, v.
 
-    Both components are integrals over w in [0, u] of the normal density at
-
-        A(w) = (sqrt(t) * Phi^-1(v) - sqrt(s) * Phi^-1(w)) / sqrt(t - s)
-
-    times a linear expression in A(w), Phi^-1(v) and Phi^-1(w).
+    ``u`` and ``v`` are floats or broadcastable arrays, as for :func:`psi`.
+    With r = sqrt(s/t), Plackett's identity gives d/dt = -phi2 r / (2t) and
+    d/ds = phi2 r / (2s), where phi2 is the bivariate normal density at
+    (h, k; r).  Its exponent is written as
+    ((h - k)^2 + 2hk(1 - r)) / (1 - r^2) with 1 - r^2 = (t - s)/t, so that
+    nothing cancels near the diagonal.
     """
-    s, t = tp.s, tp.t
-    u, v = up.u, up.v
-    _check_gradient_times(s, t, config)
-    if not (0.0 < u < 1.0 and 0.0 < v < 1.0):
-        raise ValueError(
-            f"gradient requires u, v strictly inside (0, 1), got u={u!r}, v={v!r}"
-        )
-
-    zv = std_normal_quantile(v)
-    sq_t = math.sqrt(t)
-    sq_s = math.sqrt(s)
-    gap = t - s
-    inv_sq_gap = 1.0 / math.sqrt(gap)
-    ct = zv / (2.0 * math.sqrt(t * gap))
-    cg = 1.0 / (2.0 * gap)
-    cs = 1.0 / (2.0 * math.sqrt(s * gap))
-
-    def d_t_integrand(w: float) -> float:
-        if w < _W_FLOOR:
-            return 0.0
-        zw = std_normal_quantile(w)
-        aw = (sq_t * zv - sq_s * zw) * inv_sq_gap
-        return std_normal_pdf(aw) * (ct - aw * cg)
-
-    def d_s_integrand(w: float) -> float:
-        if w < _W_FLOOR:
-            return 0.0
-        zw = std_normal_quantile(w)
-        aw = (sq_t * zv - sq_s * zw) * inv_sq_gap
-        return std_normal_pdf(aw) * (aw * cg - zw * cs)
-
-    try:
-        d_t = integrate(d_t_integrand, 0.0, u, config.quad)
-        d_s = integrate(d_s_integrand, 0.0, u, config.quad)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"gradient integral failed at (s={s!r}, t={t!r}, u={u!r}, v={v!r}): {exc}",
-            estimate=exc.estimate,
-            error=exc.error,
-        ) from exc
-    return d_t, d_s
-
-
-# --- vectorized grid evaluation -------------------------------------------
-#
-# The experiment runners evaluate the kernel on full (u, v) product grids
-# thousands of times.  The adaptive scalar route is far too slow for that,
-# so the same w-integral is computed with a fixed Gauss-Legendre rule per
-# u-segment, vectorized over all v at once.  Accuracy is cross-checked
-# against the scalar `psi` in the test suite.
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
-# the integrand's derivative is unbounded as w -> 0 when lo < hi - lo, and
-# for extreme v the integrand swings from 1 to 0 within a few of these
-# decades, so the first segment is split geometrically toward 0 with at
-# most half-decade panels above 1e-4
-_EDGE_SPLITS = (
-    1e-8, 1e-6, 1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
-)
-
-
-def _w_panels(u_grid: np.ndarray, trans_scale: float) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Integration panels covering (0, max(u_grid)], refined near w = 0.
-
-    ``trans_scale`` is the width over which the integrand can swing from 1
-    to 0 (of order sqrt(hi - lo) for the kernel); segments wider than a
-    fraction of it are split so the fixed rule still resolves the swing.
-    Returns the panels and the index of the panel ending at each positive
-    u-grid value.
-    """
-    pos = [float(x) for x in u_grid if x > 0.0]
-    first = pos[0]
-    breakpoints = [first * frac for frac in _EDGE_SPLITS] + pos
-    grid_values = set(pos)
-
-    panels: list[tuple[float, float]] = []
-    end_index: list[int] = []
-    left = breakpoints[0]
-    for bp in breakpoints[1:]:
-        width = bp - left
-        splits = 1
-        if trans_scale > 0.0 and width > 0.25 * trans_scale:
-            splits = min(8, math.ceil(width / (0.25 * trans_scale)))
-        for k in range(1, splits + 1):
-            panels.append((left + width * (k - 1) / splits, left + width * k / splits))
-        if bp in grid_values:
-            end_index.append(len(panels) - 1)
-        left = bp
-    return panels, np.asarray(end_index)
+    _check_gradient_times(s, t)
+    h = ndtri(_unit_values("u", u, strict=True))
+    k = ndtri(_unit_values("v", v, strict=True))
+    r = math.sqrt(s / t)
+    one_m_r2 = (t - s) / t
+    expo = ((h - k) ** 2 + 2.0 * h * k * (one_m_r2 / (1.0 + r))) / one_m_r2
+    phi2 = np.exp(-0.5 * expo) / (2.0 * math.pi * math.sqrt(one_m_r2))
+    d_t = -phi2 * (r / (2.0 * t))
+    d_s = phi2 * (r / (2.0 * s))
+    return _scalar_or_array(d_t, u, v), _scalar_or_array(d_s, u, v)
 
 
 def _validate_grid(name: str, grid: np.ndarray) -> np.ndarray:
@@ -264,80 +129,15 @@ def _validate_grid(name: str, grid: np.ndarray) -> np.ndarray:
     return arr
 
 
-def psi_grid(
-    s: float,
-    t: float,
-    u_grid: np.ndarray,
-    v_grid: np.ndarray,
-    config: KernelConfig = DEFAULT_KERNEL,
-) -> np.ndarray:
-    """Kernel values on the product grid, shape (len(u_grid), len(v_grid)).
-
-    Same case branches as :func:`psi`; rows/columns at u, v in {0, 1} are
-    set to their exact boundary values.  The fixed rule is accurate to about
-    1e-11 at relative time gaps of 1e-2 and above.  Below that its panels,
-    which are sized by the absolute gap, resolve the integrand less well:
-    at a relative gap of 1e-4 it is about 1e-8 off at clock values near 1
-    and about 1e-5 off near 100.  The adaptive scalar :func:`psi` and
-    :func:`psi_difference` do not lose accuracy there.
-    """
+def psi_grid(s: float, t: float, u_grid: np.ndarray, v_grid: np.ndarray) -> np.ndarray:
+    """Kernel values on the product grid, shape (len(u_grid), len(v_grid))."""
     ug = _validate_grid("u_grid", u_grid)
     vg = _validate_grid("v_grid", v_grid)
-    for name, val in (("s", s), ("t", t)):
-        if not (math.isfinite(val) and val >= 0.0):
-            raise ValueError(f"{name} must be a finite real >= 0, got {val!r}")
-
-    hi = max(s, t)
-    lo = min(s, t)
-    if hi == 0.0:
-        return np.outer(ug, vg)
-    if hi - lo <= config.diag_rel_tol * hi:
-        return np.minimum.outer(ug, vg)
-    if lo == 0.0:
-        return np.outer(ug, vg)
-
-    out = np.zeros((ug.size, vg.size))
-    interior_v = (vg > 0.0) & (vg < 1.0)
-    if np.any(interior_v) and np.any(ug > 0.0):
-        zv = ndtri(vg[interior_v])
-        a_num = math.sqrt(hi) * zv
-        sq_lo = math.sqrt(lo)
-        gap = hi - lo
-        inv_gap = 1.0 / math.sqrt(gap)
-
-        panels, end_index = _w_panels(ug, math.sqrt(gap))
-        starts = np.array([p[0] for p in panels])
-        halves = np.array([0.5 * (p[1] - p[0]) for p in panels])
-        # nodes laid out panel-major: shape (n_panels, n_gl) flattened
-        w_nodes = (starts[:, None] + halves[:, None] * (_GL_NODES[None, :] + 1.0)).ravel()
-        zw = ndtri(w_nodes)
-
-        arg = (a_num[None, :] - sq_lo * zw[:, None]) * inv_gap
-        f_vals = ndtr(arg).reshape(len(panels), _GL_NODES.size, -1)
-        panel_ints = np.einsum("g,pgv->pv", _GL_WEIGHTS, f_vals) * halves[:, None]
-
-        # the untouched sliver [0, first panel start] has integrand <= 1
-        sliver = starts[0]
-        cumulative = np.cumsum(panel_ints, axis=0) + sliver
-
-        rows = np.nonzero(ug > 0.0)[0]
-        for j, i in enumerate(rows):
-            out[i, interior_v] = cumulative[end_index[j]]
-    np.clip(out, 0.0, 1.0, out=out)
-
-    out[:, vg == 0.0] = 0.0
-    out[:, vg == 1.0] = ug[:, None]
-    out[ug == 0.0, :] = 0.0
-    out[ug == 1.0, :] = vg[None, :]
-    return out
+    return psi(s, t, ug[:, None], vg[None, :])
 
 
 def grad_psi_grid(
-    s: float,
-    t: float,
-    u_grid: np.ndarray,
-    v_grid: np.ndarray,
-    config: KernelConfig = DEFAULT_KERNEL,
+    s: float, t: float, u_grid: np.ndarray, v_grid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Temporal gradient on a product grid; valid only at interior u, v.
 
@@ -346,45 +146,14 @@ def grad_psi_grid(
     """
     ug = _validate_grid("u_grid", u_grid)
     vg = _validate_grid("v_grid", v_grid)
-    _check_gradient_times(s, t, config)
-
+    _check_gradient_times(s, t)
     d_t = np.full((ug.size, vg.size), np.nan)
     d_s = np.full((ug.size, vg.size), np.nan)
-    interior_v = (vg > 0.0) & (vg < 1.0)
-    interior_u = (ug > 0.0) & (ug < 1.0)
-    if not (np.any(interior_v) and np.any(interior_u)):
-        return d_t, d_s
-
-    zv = ndtri(vg[interior_v])
-    sq_t = math.sqrt(t)
-    sq_s = math.sqrt(s)
-    gap = t - s
-    inv_sq_gap = 1.0 / math.sqrt(gap)
-    ct = zv / (2.0 * math.sqrt(t * gap))
-    cg = 1.0 / (2.0 * gap)
-    cs = 1.0 / (2.0 * math.sqrt(s * gap))
-
-    panels, end_index = _w_panels(ug[interior_u], math.sqrt(gap))
-    starts = np.array([p[0] for p in panels])
-    halves = np.array([0.5 * (p[1] - p[0]) for p in panels])
-    w_nodes = (starts[:, None] + halves[:, None] * (_GL_NODES[None, :] + 1.0)).ravel()
-    zw = ndtri(w_nodes)
-
-    aw = (sq_t * zv[None, :] - sq_s * zw[:, None]) * inv_sq_gap
-    dens = np.exp(-0.5 * aw * aw) / math.sqrt(2.0 * math.pi)
-    ig_t = dens * (ct[None, :] - aw * cg)
-    ig_s = dens * (aw * cg - zw[:, None] * cs)
-
-    n_gl = _GL_NODES.size
-    per_panel_t = np.einsum("g,pgv->pv", _GL_WEIGHTS, ig_t.reshape(len(panels), n_gl, -1))
-    per_panel_s = np.einsum("g,pgv->pv", _GL_WEIGHTS, ig_s.reshape(len(panels), n_gl, -1))
-    cum_t = np.cumsum(per_panel_t * halves[:, None], axis=0)
-    cum_s = np.cumsum(per_panel_s * halves[:, None], axis=0)
-
-    rows = np.nonzero(interior_u)[0]
-    for j, i in enumerate(rows):
-        d_t[i, interior_v] = cum_t[end_index[j]]
-        d_s[i, interior_v] = cum_s[end_index[j]]
+    iu = np.nonzero((ug > 0.0) & (ug < 1.0))[0]
+    iv = np.nonzero((vg > 0.0) & (vg < 1.0))[0]
+    if iu.size and iv.size:
+        cells = np.ix_(iu, iv)
+        d_t[cells], d_s[cells] = grad_psi(s, t, ug[iu][:, None], vg[iv][None, :])
     return d_t, d_s
 
 
@@ -417,30 +186,30 @@ def grad_psi_grid(
 # the sliver next to pi/2 that is left out when the range reaches it
 _DIFF_TOL = 1e-14
 _SLIVER = 2.0 * math.pi * _DIFF_TOL
+# smallest quadrature tolerance psi asks for; it keeps the node count finite
+_TOL_FLOOR = 1e-300
 
 
-def _node_count(half_total: float, rho2: float) -> int:
-    """Fewest Gauss-Legendre nodes (at least 2) per panel that meet ``_DIFF_TOL``.
+def _node_count(half_total: float, rho2: float, tol: float) -> int:
+    """Fewest Gauss-Legendre nodes (at least 2) per panel that meet ``tol``.
 
     ``half_total`` is the summed half-width of the panels and ``rho2`` the
     smallest squared ellipse parameter among them.
     """
-    k = half_total * 64.0 / (15.0 * 2.0 * math.pi * (rho2 - 1.0) * _DIFF_TOL)
+    k = half_total * 64.0 / (15.0 * 2.0 * math.pi * (rho2 - 1.0) * tol)
     if k <= 1.0:
         return 2
     return max(2, math.ceil(1.0 + math.log(k) / math.log(rho2)))
 
 
-# rules for every node count a range within [0, pi/2] can need
-_GL_RULES = {m: np.polynomial.legendre.leggauss(m)
-             for m in range(2, _node_count(0.5 * math.pi, 9.0 + math.sqrt(80.0)) + 1)}
+_gl_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def clock_angle(s: float, t: float, config: KernelConfig = DEFAULT_KERNEL) -> float:
+def clock_angle(s: float, t: float) -> float:
     """Angle asin(r) of the kernel's correlation r = sqrt(min/max) of clock values.
 
     Same case branches as :func:`psi`: 0 when either clock value is zero
-    (independence) and pi/2 on the diagonal, within ``config.diag_rel_tol``
+    (independence) and pi/2 on the diagonal, within ``DIAG_REL_TOL``
     relative distance.
     """
     if not (math.isfinite(s) and math.isfinite(t) and s >= 0.0 and t >= 0.0):
@@ -449,7 +218,7 @@ def clock_angle(s: float, t: float, config: KernelConfig = DEFAULT_KERNEL) -> fl
     lo = min(s, t)
     if hi == 0.0:
         return 0.0
-    if hi - lo <= config.diag_rel_tol * hi:
+    if hi - lo <= DIAG_REL_TOL * hi:
         return 0.5 * math.pi
     return math.atan2(math.sqrt(lo), math.sqrt(hi - lo))
 
@@ -480,6 +249,11 @@ def psi_difference(d, b, theta0: float, theta1: float) -> np.ndarray:
     equal, and otherwise within 2e-14 absolute of the difference of the two
     bivariate normal CDF values, by the bound above.
     """
+    return _angle_integral(d, b, theta0, theta1, _DIFF_TOL)
+
+
+def _angle_integral(d, b, theta0: float, theta1: float, tol: float) -> np.ndarray:
+    """:func:`psi_difference` with quadrature error at most ``tol``, plus the sliver's."""
     d, b = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(b, dtype=float))
     x_near = 0.5 * math.pi - max(theta0, theta1)
     x_far = 0.5 * math.pi - min(theta0, theta1)
@@ -498,7 +272,7 @@ def psi_difference(d, b, theta0: float, theta1: float) -> np.ndarray:
     mid = edges[:-1] + half
     q = 2.0 * (mid / half) ** 2
     rho2 = float(np.min(0.5 * (q + np.sqrt((q - 2.0) * (q + 2.0)))))
-    nodes, weights = _GL_RULES[_node_count(float(half.sum()), rho2)]
+    nodes, weights = _gl_rule(_node_count(float(half.sum()), rho2, tol))
 
     for c, w in zip(mid, half):
         x = c + w * nodes

@@ -14,11 +14,8 @@ import scipy.stats
 from hfcopula.cli import main
 from hfcopula.estimators import quarticity
 from hfcopula.experiments import QqSpec, RhoSpec, run_qq, run_rho, write_report
-from hfcopula.gaussmath import QuadratureConfig
-from hfcopula.kernel import KernelConfig, TimePair, UnitPair, grad_psi, psi, psi_grid
+from hfcopula.kernel import grad_psi, psi, psi_grid
 from hfcopula.simulate import ConstantVol, SimConfig, simulate_scenario
-
-FD_CONFIG = KernelConfig(quad=QuadratureConfig(abs_tol=1e-13))
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +39,7 @@ def test_criterion_1_kernel_vs_bivariate_normal_oracle():
         t = s + float(rng.uniform(0.05, 2.0))
         rho = math.sqrt(s / t)
         expected = 0.25 + math.asin(rho) / (2.0 * math.pi)
-        got = psi(TimePair(s, t), UnitPair(0.5, 0.5))
+        got = psi(s, t, 0.5, 0.5)
         worst_analytic = max(worst_analytic, abs(got - expected))
     assert worst_analytic <= 1e-8
 
@@ -59,7 +56,7 @@ def test_criterion_1_kernel_vs_bivariate_normal_oracle():
         rho = math.sqrt(s / t)
         z2 = rho * z1 + math.sqrt(1.0 - rho * rho) * w
         mc = float(np.mean((z1 <= scipy.stats.norm.ppf(u)) & (z2 <= scipy.stats.norm.ppf(v))))
-        got = psi(TimePair(s, t), UnitPair(u, v))
+        got = psi(s, t, u, v)
         worst_mc = max(worst_mc, abs(got - mc))
     assert worst_mc <= 3e-3
 
@@ -85,9 +82,11 @@ def test_criterion_2_copula_axiom_suite():
         rect = c[1:, 1:] - c[:-1, 1:] - c[1:, :-1] + c[:-1, :-1]
         assert rect.min() >= -1e-8
         assert np.all(c >= fre_lo - 1e-8) and np.all(c <= fre_hi + 1e-8)
-        # tie the grid evaluation back to the scalar route at a random cell
+        # tie the grid back to scipy's bivariate normal CDF at a random cell
         i, j = rng.integers(1, 20, size=2)
-        ref = psi(TimePair(s, t), UnitPair(float(grid[i]), float(grid[j])))
+        r = math.sqrt(s / t)
+        ref = scipy.stats.multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]]).cdf(
+            [scipy.stats.norm.ppf(grid[i]), scipy.stats.norm.ppf(grid[j])])
         assert abs(c[i, j] - ref) <= 1e-8
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
@@ -104,12 +103,9 @@ def test_criterion_3_gradient_vs_finite_differences():
         t = s + float(rng.uniform(0.05, 2.0))
         u = float(rng.uniform(0.05, 0.95))
         v = float(rng.uniform(0.05, 0.95))
-        up = UnitPair(u, v)
-        g_t, g_s = grad_psi(TimePair(s, t), up)
-        f_t = (psi(TimePair(s, t + h), up, FD_CONFIG)
-               - psi(TimePair(s, t - h), up, FD_CONFIG)) / (2.0 * h)
-        f_s = (psi(TimePair(s + h, t), up, FD_CONFIG)
-               - psi(TimePair(s - h, t), up, FD_CONFIG)) / (2.0 * h)
+        g_t, g_s = grad_psi(s, t, u, v)
+        f_t = (psi(s, t + h, u, v) - psi(s, t - h, u, v)) / (2.0 * h)
+        f_s = (psi(s + h, t, u, v) - psi(s - h, t, u, v)) / (2.0 * h)
         worst = max(worst,
                     abs(g_t - f_t) / max(abs(f_t), 1e-12),
                     abs(g_s - f_s) / max(abs(f_s), 1e-12))

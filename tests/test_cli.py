@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from hfcopula import cli
 from hfcopula.cli import main
 from hfcopula.estimators import CopulaQuery, SampledPath, confidence_interval
 
@@ -189,6 +190,16 @@ def test_unknown_config_key(tmp_path, capsys):
     cfg.write_text('{"command": "simulate", "bogus": 1}', encoding="utf-8")
     assert main(["--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert "unknown config keys" in capsys.readouterr().err
+
+
+def test_every_flag_key_accepted_in_config_file(tmp_path):
+    flags = [opt for action in cli._build_parser()._actions
+             for opt in action.option_strings if opt.startswith("--")]
+    keys = {f[2:].replace("-", "_") for f in flags} - {"help", "version", "config", "verbose"}
+    assert keys == cli._CONFIG_KEYS
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(dict.fromkeys(sorted(keys))), encoding="utf-8")
+    assert cli._load_config_file(cfg) == dict.fromkeys(keys)
 
 
 def test_missing_command(capsys):

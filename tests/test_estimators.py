@@ -156,6 +156,17 @@ def test_interval_bounds_frechet_clipping():
     assert lo >= 0.7 + 0.6 - 1.0
 
 
+def test_interval_bounds_arrays_match_scalar_calls():
+    rng = np.random.default_rng(21)
+    u, v = rng.uniform(0.0, 1.0, size=(2, 200))
+    c_hat = np.minimum(u, v) * rng.uniform(0.9, 1.1, size=200)
+    v_hat = rng.uniform(0.0, 0.5, size=200)
+    got = interval_bounds(c_hat, v_hat, 100, u, v, 0.9)
+    for i in range(200):
+        ref = interval_bounds(float(c_hat[i]), float(v_hat[i]), 100, float(u[i]), float(v[i]), 0.9)
+        assert tuple(arr[i] for arr in got) == ref
+
+
 def test_interval_degenerate_variance():
     center, lo, hi = interval_bounds(0.42, 0.0, 100, 0.5, 0.6, 0.95)
     assert lo == center == hi == 0.42

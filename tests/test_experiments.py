@@ -50,6 +50,23 @@ def test_spec_validation():
         RhoSpec(n_list=())
 
 
+# a bad value of each field the specs share; n_list and uv_grid where present
+SHARED_BAD = [("horizon", 0.0), ("horizon", math.inf), ("replications", 0), ("seed", -1),
+              ("substeps", 0), ("vol", "cir"), ("n_list", ()), ("n_list", (100, 0)),
+              ("uv_grid", 1)]
+
+
+SHARED_CASES = [(cls, field, bad) for cls in (ContourSpec, QqSpec, RhoSpec)
+                for field, bad in SHARED_BAD if field in cls.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("spec_cls, field, bad", SHARED_CASES,
+                         ids=[f"{c.__name__}-{f}-{b!r}" for c, f, b in SHARED_CASES])
+def test_spec_shared_field_validation(spec_cls, field, bad):
+    with pytest.raises(ValueError, match=field.split("_")[0]):
+        spec_cls(**{field: bad})
+
+
 def test_report_rejects_ragged_table():
     with pytest.raises(ValueError):
         ExperimentReport(kind="qq",

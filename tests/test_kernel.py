@@ -1,4 +1,4 @@
-"""Tests for the copula kernel, its gradient, and the vectorized grid routines."""
+"""Tests for the copula kernel, its gradient, and their product-grid forms."""
 
 import math
 
@@ -7,12 +7,8 @@ import pytest
 from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
-from hfcopula.gaussmath import QuadratureConfig, QuadratureError
 from hfcopula.kernel import (
-    KernelConfig,
     NearDiagonalError,
-    TimePair,
-    UnitPair,
     clock_angle,
     grad_psi,
     grad_psi_grid,
@@ -26,36 +22,48 @@ from hfcopula.kernel import (
 # integral, cross-checked against scipy multivariate_normal.cdf
 C_03_07_07_03 = 0.2825701629284019
 
-# finite differences of psi need quadrature noise well under the FD scale
-FD_CONFIG = KernelConfig(quad=QuadratureConfig(abs_tol=1e-13))
+# (s, t, u, v, Phi2) in the lower tail, v ~ 1e-12: mpmath at 50 digits, as
+# u*v plus the integral of the density over the correlation, cross-checked
+# against the integral of phi(y) Phi((h - r y) / sqrt(1 - r^2)) up to k
+LOWER_TAIL = (
+    (0.3, 0.7, 0.5, 1e-12, 9.9999999968229759e-13),
+    (0.3, 0.7, 0.2, 1e-12, 9.9999980303623517e-13),
+    (0.3, 0.7, 0.8, 1e-12, 9.9999999999984647e-13),
+    (0.1, 0.9, 0.5, 1e-12, 9.9434197799752113e-13),
+    (0.5, 0.6, 0.5, 1e-12, 9.9999999999999998e-13),
+    (0.2, 0.4, 0.9, 2e-12, 2.0e-12),
+    (0.6, 0.95, 0.3, 5e-13, 4.9999999999999999e-13),
+    (0.05, 0.5, 0.6, 1e-12, 9.9603473844342877e-13),
+)
 
 
 def test_diagonal_branch():
-    assert psi(TimePair(1.0, 1.0), UnitPair(0.3, 0.6)) == 0.3
+    assert psi(1.0, 1.0, 0.3, 0.6) == 0.3
 
 
 def test_zero_time_branch():
-    assert psi(TimePair(0.0, 1.0), UnitPair(0.4, 0.9)) == pytest.approx(0.36, abs=1e-15)
-    assert psi(TimePair(0.0, 0.0), UnitPair(0.4, 0.9)) == pytest.approx(0.36, abs=1e-15)
+    assert psi(0.0, 1.0, 0.4, 0.9) == pytest.approx(0.36, abs=1e-15)
+    assert psi(0.0, 0.0, 0.4, 0.9) == pytest.approx(0.36, abs=1e-15)
 
 
 def test_orthant_probability():
     # equal quantiles at u=v=0.5: 1/4 + arcsin(rho)/(2 pi), rho = sqrt(1/2)
-    val = psi(TimePair(1.0, 2.0), UnitPair(0.5, 0.5))
+    val = psi(1.0, 2.0, 0.5, 0.5)
     assert val == pytest.approx(0.375, abs=1e-8)
 
 
 def test_bivariate_normal_oracle_point():
-    val = psi(TimePair(0.3, 0.7), UnitPair(0.7, 0.3))
+    val = psi(0.3, 0.7, 0.7, 0.3)
     assert val == pytest.approx(C_03_07_07_03, abs=1e-8)
 
 
 def test_boundary_shortcuts():
-    tp = TimePair(0.4, 1.3)
-    assert psi(tp, UnitPair(0.0, 0.6)) == 0.0
-    assert psi(tp, UnitPair(0.6, 0.0)) == 0.0
-    assert psi(tp, UnitPair(0.6, 1.0)) == 0.6
-    assert psi(tp, UnitPair(1.0, 0.6)) == 0.6
+    assert psi(0.4, 1.3, 0.0, 0.6) == 0.0
+    assert psi(0.4, 1.3, 0.6, 0.0) == 0.0
+    assert psi(0.4, 1.3, 0.6, 1.0) == 0.6
+    assert psi(0.4, 1.3, 1.0, 0.6) == 0.6
+    np.testing.assert_array_equal(psi(0.4, 1.3, [0.0, 0.6, 0.6, 1.0], [0.6, 0.0, 1.0, 0.6]),
+                                  [0.0, 0.0, 0.6, 0.6])
 
 
 def test_time_symmetry_exact():
@@ -63,8 +71,8 @@ def test_time_symmetry_exact():
     for _ in range(20):
         s, t = sorted(rng.uniform(0.05, 3.0, size=2))
         u, v = rng.uniform(0.0, 1.0, size=2)
-        a = psi(TimePair(s, t), UnitPair(u, v))
-        b = psi(TimePair(t, s), UnitPair(u, v))
+        a = psi(s, t, u, v)
+        b = psi(t, s, u, v)
         assert a == b
 
 
@@ -73,8 +81,7 @@ def test_diagonal_continuity():
 
     The gap saturates at exactly 0 in double precision once eps <= 1e-3,
     so the ordering is nonstrict."""
-    up = UnitPair(0.4, 0.6)
-    gaps = [abs(psi(TimePair(1.0, 1.0 + eps), up) - 0.4)
+    gaps = [abs(psi(1.0, 1.0 + eps, 0.4, 0.6) - 0.4)
             for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
     assert all(b <= a for a, b in zip(gaps, gaps[1:]))
     assert gaps[0] > gaps[-1]
@@ -82,8 +89,7 @@ def test_diagonal_continuity():
 
 
 def test_independence_limit():
-    up = UnitPair(0.3, 0.8)
-    gaps = [abs(psi(TimePair(1.0, t), up) - 0.24) for t in (1e2, 1e4, 1e6)]
+    gaps = [abs(psi(1.0, t, 0.3, 0.8) - 0.24) for t in (1e2, 1e4, 1e6)]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     assert gaps[-1] < 1e-3
 
@@ -113,83 +119,77 @@ def test_psi_result_in_unit_interval():
     for _ in range(50):
         s, t = sorted(rng.uniform(0.0, 2.0, size=2))
         u, v = rng.uniform(0.0, 1.0, size=2)
-        val = psi(TimePair(s, t), UnitPair(u, v))
+        val = psi(s, t, u, v)
+        assert isinstance(val, float)
         assert 0.0 <= val <= 1.0
 
 
 def _fd_gradient(s, t, u, v, h=1e-5):
-    up = UnitPair(u, v)
-    d_t = (psi(TimePair(s, t + h), up, FD_CONFIG)
-           - psi(TimePair(s, t - h), up, FD_CONFIG)) / (2.0 * h)
-    d_s = (psi(TimePair(s + h, t), up, FD_CONFIG)
-           - psi(TimePair(s - h, t), up, FD_CONFIG)) / (2.0 * h)
+    d_t = (psi(s, t + h, u, v) - psi(s, t - h, u, v)) / (2.0 * h)
+    d_s = (psi(s + h, t, u, v) - psi(s - h, t, u, v)) / (2.0 * h)
     return d_t, d_s
 
 
 @pytest.mark.parametrize("point", [(1.0, 2.0, 0.5, 0.5), (0.3, 0.7, 0.7, 0.3)])
 def test_gradient_matches_finite_differences(point):
     s, t, u, v = point
-    g_t, g_s = grad_psi(TimePair(s, t), UnitPair(u, v))
+    g_t, g_s = grad_psi(s, t, u, v)
     f_t, f_s = _fd_gradient(s, t, u, v)
     assert abs(g_t - f_t) <= 1e-5 * max(abs(f_t), 1e-12)
     assert abs(g_s - f_s) <= 1e-5 * max(abs(f_s), 1e-12)
 
 
 def test_gradient_vanishing_u():
-    g_t, g_s = grad_psi(TimePair(0.5, 1.5), UnitPair(1e-6, 0.5))
+    g_t, g_s = grad_psi(0.5, 1.5, 1e-6, 0.5)
     assert abs(g_t) < 1e-5
     assert abs(g_s) < 1e-5
 
 
 def test_gradient_domain_errors():
-    up = UnitPair(0.5, 0.5)
     with pytest.raises(ValueError):
-        grad_psi(TimePair(2.0, 1.0), up)  # s > t
+        grad_psi(2.0, 1.0, 0.5, 0.5)  # s > t
     with pytest.raises(ValueError):
-        grad_psi(TimePair(0.0, 1.0), up)  # s = 0
+        grad_psi(0.0, 1.0, 0.5, 0.5)  # s = 0
     with pytest.raises(ValueError):
-        grad_psi(TimePair(1.0, 2.0), UnitPair(0.0, 0.5))
+        grad_psi(1.0, math.inf, 0.5, 0.5)
     with pytest.raises(ValueError):
-        grad_psi(TimePair(1.0, 2.0), UnitPair(0.5, 1.0))
+        grad_psi(1.0, 2.0, 0.0, 0.5)
+    with pytest.raises(ValueError):
+        grad_psi(1.0, 2.0, 0.5, 1.0)
 
 
 def test_gradient_near_diagonal_error():
     with pytest.raises(NearDiagonalError):
-        grad_psi(TimePair(1.0, 1.0 + 1e-13), UnitPair(0.5, 0.5))
-
-
-def test_quadrature_failure_names_the_query():
-    cfg = KernelConfig(quad=QuadratureConfig(abs_tol=1e-16, max_subdivisions=1))
-    with pytest.raises(QuadratureError) as exc:
-        psi(TimePair(0.3, 0.30001), UnitPair(0.45, 0.55), cfg)
-    msg = str(exc.value)
-    assert "s=" in msg and "t=" in msg and "u=" in msg and "v=" in msg
+        grad_psi(1.0, 1.0 + 1e-13, 0.5, 0.5)
 
 
 def test_pair_validation():
     with pytest.raises(ValueError):
-        TimePair(-0.1, 1.0)
+        psi(-0.1, 1.0, 0.5, 0.5)
     with pytest.raises(ValueError):
-        TimePair(0.0, math.inf)
+        psi(0.0, math.inf, 0.5, 0.5)
     with pytest.raises(ValueError):
-        UnitPair(-0.01, 0.5)
+        psi(0.3, 0.7, -0.01, 0.5)
     with pytest.raises(ValueError):
-        UnitPair(0.5, 1.01)
+        psi(0.3, 0.7, 0.5, 1.01)
     with pytest.raises(ValueError):
-        KernelConfig(diag_rel_tol=-1e-12)
+        psi(0.3, 0.7, np.array([0.5, math.nan]), 0.5)
 
 
 def test_grid_matches_scalar_route():
-    """The vectorized grid shares branch logic but integrates differently;
-    both routes must agree."""
+    """The grid is the kernel on broadcast arrays; it must match the
+    bivariate normal CDF inside the square and the exact values on its edge."""
     ug = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0])
     vg = np.array([0.0, 0.1, 0.25, 0.5, 0.8, 0.9, 1.0])
+    iu, iv = np.meshgrid(np.arange(1, 6), np.arange(1, 6), indexing="ij")
     for s, t in ((0.3, 0.7), (1.0, 2.0), (0.05, 1.8), (0.9, 1.0)):
         grid = psi_grid(s, t, ug, vg)
-        for i, u in enumerate(ug):
-            for j, v in enumerate(vg):
-                ref = psi(TimePair(s, t), UnitPair(float(u), float(v)))
-                assert grid[i, j] == pytest.approx(ref, abs=1e-8)
+        ref = _bvn_cdf(ndtri(ug[iu.ravel()]), ndtri(vg[iv.ravel()]), s, t)
+        np.testing.assert_allclose(grid[1:-1, 1:-1].ravel(), ref, rtol=0.0, atol=1e-8)
+        np.testing.assert_array_equal(grid[0, :], 0.0)
+        np.testing.assert_array_equal(grid[:, 0], 0.0)
+        np.testing.assert_array_equal(grid[-1, :], vg)
+        np.testing.assert_array_equal(grid[:, -1], ug)
 
 
 def test_grid_degenerate_time_branches():
@@ -210,18 +210,53 @@ def test_grid_time_symmetry_exact():
 
 
 def test_grad_grid_matches_scalar_route():
+    """The grid gradient against Plackett's formula with scipy's density,
+    and NaN wherever u or v is on the boundary."""
     ug = np.array([0.0, 0.2, 0.5, 0.7, 1.0])
     vg = np.array([0.0, 0.3, 0.5, 0.9, 1.0])
     for s, t in ((0.3, 0.7), (1.0, 2.0)):
         d_t, d_s = grad_psi_grid(s, t, ug, vg)
+        r = math.sqrt(s / t)
+        dens = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]])
         for i, u in enumerate(ug):
             for j, v in enumerate(vg):
                 if u in (0.0, 1.0) or v in (0.0, 1.0):
                     assert math.isnan(d_t[i, j]) and math.isnan(d_s[i, j])
                     continue
-                rt, rs = grad_psi(TimePair(s, t), UnitPair(float(u), float(v)))
-                assert d_t[i, j] == pytest.approx(rt, abs=1e-8)
-                assert d_s[i, j] == pytest.approx(rs, abs=1e-8)
+                phi2 = dens.pdf([ndtri(u), ndtri(v)])
+                assert d_t[i, j] == pytest.approx(-phi2 * r / (2.0 * t), abs=1e-8)
+                assert d_s[i, j] == pytest.approx(phi2 * r / (2.0 * s), abs=1e-8)
+                assert (d_t[i, j], d_s[i, j]) == grad_psi(s, t, float(u), float(v))
+
+
+def test_gradient_euler_identity():
+    # psi depends on s/t only, so t d/dt + s d/ds vanishes
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        s, t = np.sort(rng.uniform(0.01, 5.0, size=2))
+        u, v = rng.uniform(0.01, 0.99, size=2)
+        g_t, g_s = grad_psi(float(s), float(t), float(u), float(v))
+        assert abs(t * g_t + s * g_s) <= 1e-15 * abs(t * g_t)
+
+
+@pytest.mark.parametrize("s, t, u, v, ref", LOWER_TAIL)
+def test_lower_tail_relative_accuracy(s, t, u, v, ref):
+    assert abs(psi(s, t, u, v) - ref) <= 1e-8 * ref
+
+
+def test_deep_lower_tail_relative_accuracy():
+    # the quadrature tolerance scales with u*v: a fixed 1e-14 absolute one
+    # is 3e-7 off here; mpmath, both integrals of LOWER_TAIL agreeing to 1e-20
+    assert psi(0.3, 0.7, 1e-30, 1e-30) == pytest.approx(1.3416902162289224e-37, rel=1e-12)
+
+
+def test_scale_invariance():
+    """The kernel depends on the clock values through their ratio only."""
+    ug = np.linspace(0.0, 1.0, 101)
+    base = psi_grid(1.0, 1.0 + 1e-4, ug, ug)
+    for lam in (0.1, 1.0, 10.0, 100.0):
+        scaled = psi_grid(lam, lam * (1.0 + 1e-4), ug, ug)
+        assert np.max(np.abs(scaled - base)) <= 1e-15
 
 
 def test_grid_input_validation():
