@@ -34,6 +34,15 @@ __all__ = [
 _INDEX_GUARD = 1e-9
 
 
+# bool is an int subclass, but neither True nor False is a count or a real
+def _is_int(val) -> bool:
+    return isinstance(val, (int, np.integer)) and not isinstance(val, bool)
+
+
+def _is_real(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
     """Path values X_{i/n}, i = 0..floor(n*horizon), with cached prefix sums."""
@@ -49,11 +58,10 @@ class SampledPath:
             raise ValueError("values must be one-dimensional")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must all be finite")
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not (isinstance(self.horizon, (int, float)) and self.horizon > 0.0
-                and math.isfinite(self.horizon)):
+        if not (_is_real(self.horizon) and self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise ValueError(f"horizon must be a positive finite real, got {self.horizon!r}")
         expected = int(math.floor(self.n * self.horizon + _INDEX_GUARD)) + 1
         if vals.size != expected:
@@ -86,10 +94,10 @@ class CopulaQuery:
 
     def __post_init__(self) -> None:
         for name, val in (("s", self.s), ("t", self.t)):
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0.0):
+            if not (_is_real(val) and math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be a positive finite real, got {val!r}")
         for name, val in (("u", self.u), ("v", self.v)):
-            if not (isinstance(val, (int, float)) and 0.0 <= val <= 1.0):
+            if not (_is_real(val) and 0.0 <= val <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
 
 

@@ -24,6 +24,8 @@ from scipy.special import ndtr, ndtri
 from . import __version__
 from .estimators import (
     CopulaQuery,
+    _is_int,
+    _is_real,
     copula_estimate,
     interval_bounds,
     quarticity,
@@ -36,9 +38,8 @@ from .kernel import (
     clock_angle,
     grad_psi_grid,
     psi,
-    psi_difference,
     psi_grid,
-    uv_cells,
+    sup_difference,
 )
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
@@ -58,22 +59,22 @@ __all__ = [
 
 
 def _check_pos_int(name: str, val, minimum: int = 1) -> int:
-    if not (isinstance(val, (int, np.integer)) and val >= minimum):
+    if not (_is_int(val) and val >= minimum):
         raise ValueError(f"{name} must be an integer >= {minimum}, got {val!r}")
     return int(val)
 
 
 def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf) -> float:
-    if not (isinstance(val, (int, float)) and math.isfinite(val) and lo < val < hi):
+    if not (_is_real(val) and math.isfinite(val) and lo < val < hi):
         raise ValueError(f"{name} must be a finite real in ({lo}, {hi}), got {val!r}")
     return float(val)
 
 
 def _check_spec(spec) -> None:
-    """Checks of the fields every spec has, and of ``n_list``/``uv_grid`` where present.
+    """Checks of the fields every spec has, and of ``n_list``, ``uv_grid``, ``s``, ``t``.
 
-    Runs first in each spec, so that the spec's own checks may rely on a
-    valid ``horizon``.
+    The last four are checked where present.  Runs first in each spec, so
+    that the spec's own checks may rely on a valid ``horizon``.
     """
     _check_real("horizon", spec.horizon, lo=0.0)
     _check_pos_int("replications", spec.replications)
@@ -87,6 +88,13 @@ def _check_spec(spec) -> None:
             raise ValueError("n_list must not be empty")
     if hasattr(spec, "uv_grid") and _check_pos_int("uv_grid", spec.uv_grid) < 2:
         raise ValueError(f"uv_grid must be >= 2, got {spec.uv_grid!r}")
+    if hasattr(spec, "s"):
+        s, t = _check_real("s", spec.s), _check_real("t", spec.t)
+        if not 0.0 < s < t <= spec.horizon:
+            raise ValueError(
+                f"need 0 < s < t <= horizon, got s={spec.s!r}, t={spec.t!r}, "
+                f"horizon={spec.horizon!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -106,11 +114,6 @@ class ContourSpec:
 
     def __post_init__(self) -> None:
         _check_spec(self)
-        if not 0.0 < self.s < self.t <= self.horizon:
-            raise ValueError(
-                f"need 0 < s < t <= horizon, got s={self.s!r}, t={self.t!r}, "
-                f"horizon={self.horizon!r}"
-            )
         _check_real("level", self.level, lo=0.0, hi=1.0)
 
 
@@ -131,11 +134,6 @@ class QqSpec:
 
     def __post_init__(self) -> None:
         _check_spec(self)
-        if not 0.0 < self.s < self.t <= self.horizon:
-            raise ValueError(
-                f"need 0 < s < t <= horizon, got s={self.s!r}, t={self.t!r}, "
-                f"horizon={self.horizon!r}"
-            )
         _check_real("u", self.u, lo=0.0, hi=1.0)
         _check_real("v", self.v, lo=0.0, hi=1.0)
         _check_pos_int("n", self.n)
@@ -382,22 +380,15 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
 # --- rho --------------------------------------------------------------------
 
 def _sup_distance(true_clock: np.ndarray, realized_clock: np.ndarray,
-                  d: np.ndarray, b: np.ndarray) -> float:
-    """Sup of |psi(realized) - psi(true)| over ordered time pairs and cells (d, b)."""
-    worst = 0.0
-    if d.size == 0:
-        return worst
-    for i in range(true_clock.size):
-        for j in range(i + 1, true_clock.size):
-            theta0 = clock_angle(float(true_clock[i]), float(true_clock[j]))
-            theta1 = clock_angle(float(realized_clock[i]), float(realized_clock[j]))
-            gap = float(np.max(np.abs(psi_difference(d, b, theta0, theta1))))
-            if gap > worst:
-                worst = gap
-    return worst
+                  grid: np.ndarray) -> float:
+    """Sup of |psi(realized) - psi(true)| over ordered time pairs and cells ``grid x grid``."""
+    pairs = list(zip(*np.triu_indices(true_clock.size, k=1)))
+    theta0, theta1 = ([clock_angle(c[i], c[j]) for i, j in pairs]
+                      for c in (true_clock.tolist(), realized_clock.tolist()))
+    return float(np.max(sup_difference(grid, theta0, theta1), initial=0.0))
 
 
-def _rho_replication(spec: RhoSpec, n: int, d: np.ndarray, b: np.ndarray, rep: int) -> float:
+def _rho_replication(spec: RhoSpec, n: int, rep: int) -> float:
     cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
     scn = simulate_scenario(spec.vol, cfg)
@@ -405,7 +396,7 @@ def _rho_replication(spec: RhoSpec, n: int, d: np.ndarray, b: np.ndarray, rep: i
     tg = spec.time_grid()
     indices = np.array([path.index_at(float(tv)) for tv in tg])
     rv = np.array([realized_variation(path, float(tv)) for tv in tg])
-    return _sup_distance(scn.true_T[indices], rv, d, b)
+    return _sup_distance(scn.true_T[indices], rv, np.linspace(0.0, 1.0, spec.uv_grid))
 
 
 def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
@@ -413,17 +404,16 @@ def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
 
     The sup runs over ordered time pairs from the spec's grid (the kernel
     is symmetric, so unordered pairs add nothing) and the full (u, v)
-    grid; boundary cells contribute exactly zero by construction.  Each
-    cell's distance is an integral over the correlation, from the true
-    clock's to the realized clock's (:func:`~hfcopula.kernel.psi_difference`).
+    grid.  For each pair, one diagonal cell of the grid dominates all the
+    others, and its distance is an integral over the correlation, from the
+    true clock's to the realized clock's
+    (:func:`~hfcopula.kernel.sup_difference`).
     """
     tables = {}
     meta_per_n = {}
-    d, b = uv_cells(np.linspace(0.0, 1.0, spec.uv_grid))
-
     for n in spec.n_list:
         samples = np.array(_map_replications(
-            partial(_rho_replication, spec, n, d, b), spec.replications, workers))
+            partial(_rho_replication, spec, n), spec.replications, workers))
 
         tables[f"rho_samples_n{n}"] = {
             "replication": np.arange(spec.replications),

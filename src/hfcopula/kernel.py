@@ -3,9 +3,10 @@
 The kernel psi(s, t; u, v) is the copula of a Brownian motion observed at
 two times, as a function of its quadratic-variation clock values at those
 times: the bivariate normal CDF Phi2(h, k; r) at h = Phi^-1(u),
-k = Phi^-1(v) and clock correlation r = sqrt(min/max).  Its value is an
-integral over the correlation (:func:`psi_difference`) and its gradient
-is in closed form (Plackett's identity dPhi2/dr = phi2).  All case
+k = Phi^-1(v) and clock correlation r = sqrt(min/max).  Its value is u*v
+plus an integral over the correlation, its gradient is in closed form
+(Plackett's identity dPhi2/dr = phi2), and :func:`sup_difference` gives
+its largest change over a grid from one diagonal cell.  All case
 branches (diagonal, zero times, unit-square boundary) are resolved here
 so that callers never feed invalid arguments to the normal quantile.
 """
@@ -26,8 +27,7 @@ __all__ = [
     "psi_grid",
     "grad_psi_grid",
     "clock_angle",
-    "uv_cells",
-    "psi_difference",
+    "sup_difference",
 ]
 
 # two clock values closer than this, relative to the larger, count as equal
@@ -60,7 +60,7 @@ def psi(s: float, t: float, u, v):
     float.  Symmetric in (s, t).  Equals 0 where u or v is 0, u where v is
     1 and v where u is 1; min(u, v) on the diagonal (within
     ``DIAG_REL_TOL`` relative distance) and u*v when either clock value is
-    zero.  Elsewhere it is u*v plus :func:`psi_difference` from
+    zero.  Elsewhere it is u*v plus the integral over the correlation from
     independence to the clocks' correlation.  Both terms are nonnegative,
     and the quadrature's tolerance is 1e-14 times the smallest u*v of the
     call (for u*v down to 1e-286), so its error is at most 1e-14 of each
@@ -76,11 +76,11 @@ def psi(s: float, t: float, u, v):
     if theta > 0.0 and np.any(inner):
         h = ndtri(u_arr[inner])
         k = ndtri(v_arr[inner])
-        # every cell's value is at least its u*v, so an absolute tolerance
-        # scaled by the smallest u*v is a relative one; the range stops at
-        # least DIAG_REL_TOL**0.5 short of pi/2 and never reaches the sliver
-        tol = max(_DIFF_TOL * float(np.min(out[inner])), _TOL_FLOOR)
-        out[inner] += _angle_integral((h - k) ** 2, h * k, 0.0, theta, tol)
+        # every cell's value is at least its u*v, so a tolerance scaled by the
+        # smallest u*v is relative; theta stops about DIAG_REL_TOL**0.5 = 1e-6
+        # short of pi/2 (clock_angle), so no panel reaches the singular point
+        tol = max(_PSI_TOL * float(np.min(out[inner])), _TOL_FLOOR)
+        out[inner] += _angle_integral((h - k) ** 2, h * k, theta, tol)
     return _scalar_or_array(out, u, v)
 
 
@@ -157,18 +157,18 @@ def grad_psi_grid(
     return d_t, d_s
 
 
-# --- differences along the correlation -------------------------------------
+# --- integrals over the correlation ---------------------------------------
 #
 # psi is the bivariate normal CDF Phi2(h, k; r) at h = Phi^-1(u),
 # k = Phi^-1(v) and clock correlation r = sqrt(lo / hi), and dPhi2/dr is the
-# bivariate normal density (Plackett's identity).  With r = sin(theta) and
-# x = pi/2 - theta, the difference of two kernel values is
+# bivariate normal density (Plackett's identity).  With r = sin(theta), the
+# kernel changes between two angles by
 #
-#     (1/2pi) * integral dtheta exp(-d / (2 sin^2 x) - b / (2 cos^2(x/2)))
+#     (1/2pi) * integral dtheta exp(-(h^2 + k^2 - 2hk sin theta) / (2 cos^2 theta))
 #
-# with d = (h - k)^2 and b = hk.  The exponent equals
-# -(h^2 + k^2 - 2hk sin theta) / (2 cos^2 theta), written so that no digits
-# cancel as theta -> pi/2.
+# (Drezner & Wesolowsky 1990).  With x = pi/2 - theta, d = (h - k)^2 and
+# b = hk, the exponent is -d / (2 sin^2 x) - b / (2 cos^2(x/2)), written so
+# that no digits cancel as theta -> pi/2.
 #
 # Error bound.  The real part of the exponent is a quadratic form in (h, k)
 # that is negative semidefinite wherever |Re sin theta| <= 1, so the
@@ -182,10 +182,8 @@ def grad_psi_grid(
 # geometrically toward the singular point and every one has
 # rho^2 >= 9 + sqrt(80).
 
-# absolute accuracy of psi_difference: the quadrature bound, and separately
-# the sliver next to pi/2 that is left out when the range reaches it
-_DIFF_TOL = 1e-14
-_SLIVER = 2.0 * math.pi * _DIFF_TOL
+# psi's quadrature tolerance, as a fraction of the smallest u*v of a call
+_PSI_TOL = 1e-14
 # smallest quadrature tolerance psi asks for; it keeps the node count finite
 _TOL_FLOOR = 1e-300
 
@@ -223,43 +221,10 @@ def clock_angle(s: float, t: float) -> float:
     return math.atan2(math.sqrt(lo), math.sqrt(hi - lo))
 
 
-def uv_cells(grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cells ``(d, b)`` of the product grid ``grid x grid`` for :func:`psi_difference`.
-
-    ``d = (h - k)**2`` and ``b = h * k`` with ``h = Phi^-1(u)``,
-    ``k = Phi^-1(v)``, for the interior cells ``u <= v``, in the order of
-    ``np.triu_indices`` over the interior points.  Cells with u or v in
-    {0, 1} are left out: the kernel takes the same exact value there at
-    every clock, so their differences are exactly zero.  The kernel is
-    symmetric in (u, v), so cells v < u would repeat cells u < v bit for bit.
-    """
-    g = _validate_grid("grid", grid)
-    h = ndtri(g[(g > 0.0) & (g < 1.0)])
-    iu, iv = np.triu_indices(h.size)
-    return (h[iu] - h[iv]) ** 2, h[iu] * h[iv]
-
-
-def psi_difference(d, b, theta0: float, theta1: float) -> np.ndarray:
-    """Kernel value at angle ``theta1`` minus its value at ``theta0``, per cell.
-
-    A cell at (u, v) is given by ``d = (h - k)**2`` and ``b = h * k`` with
-    ``h = Phi^-1(u)``, ``k = Phi^-1(v)``, as :func:`uv_cells` builds them;
-    the angles are :func:`clock_angle`
-    values in [0, pi/2].  The result is exactly zero when the angles are
-    equal, and otherwise within 2e-14 absolute of the difference of the two
-    bivariate normal CDF values, by the bound above.
-    """
-    return _angle_integral(d, b, theta0, theta1, _DIFF_TOL)
-
-
-def _angle_integral(d, b, theta0: float, theta1: float, tol: float) -> np.ndarray:
-    """:func:`psi_difference` with quadrature error at most ``tol``, plus the sliver's."""
-    d, b = np.broadcast_arrays(np.asarray(d, dtype=float), np.asarray(b, dtype=float))
-    x_near = 0.5 * math.pi - max(theta0, theta1)
-    x_far = 0.5 * math.pi - min(theta0, theta1)
-    # a range that reaches pi/2 stops a sliver short of it: the integrand is
-    # at most 1, so the sliver adds at most _SLIVER / 2pi = _DIFF_TOL
-    x_near = max(x_near, _SLIVER)
+def _angle_integral(d, b, theta: float, tol: float) -> np.ndarray:
+    """The integral above from 0 to ``theta`` < pi/2 per cell, with error at most ``tol``."""
+    x_near = 0.5 * math.pi - theta
+    x_far = 0.5 * math.pi
     out = np.zeros(d.shape)
     if x_far <= x_near:
         return out
@@ -281,5 +246,39 @@ def _angle_integral(d, b, theta0: float, theta1: float, tol: float) -> np.ndarra
         np.negative(expo, out=expo)
         np.exp(expo, out=expo)
         out += expo @ (w * weights)
-    sign = 1.0 if theta1 > theta0 else -1.0
-    return out * (sign / (2.0 * math.pi))
+    return out * (1.0 / (2.0 * math.pi))
+
+
+# --- the sup over a grid -----------------------------------------------------
+#
+# h^2 + k^2 - 2hk sin theta has eigenvalues 1 -+ sin theta, so it is at least
+# (1 - sin theta)(h^2 + k^2), with equality on the diagonal h = k.  At every
+# angle no cell's (positive) integrand exceeds that of the diagonal cell
+# (h*, h*) with the smallest |h| on the grid, whose exponent is
+# -c / (1 + sin theta) with c = h*^2; c = 0 when 1/2 is on the grid, and the
+# difference is then |theta1 - theta0| / 2pi (Sheppard's orthant identity).
+# On the Bernstein ellipse E_4 of any [theta0, theta1] inside [0, pi/2],
+# Re sin theta >= -0.80, so the integrand is at most 1 in modulus there, and
+# 16-point Gauss-Legendre errs by at most (|theta1 - theta0| / 2) (64/15)
+# 4^-32 / (4^2 - 1) / 2pi <= 1.9e-21 (Trefethen, ATAP, Theorem 19.3).
+
+_SUP_NODES, _SUP_WEIGHTS = np.polynomial.legendre.leggauss(16)
+
+
+def sup_difference(grid, theta0, theta1) -> np.ndarray:
+    """Largest ``|psi(theta1) - psi(theta0)|`` over the cells ``grid x grid``.
+
+    ``theta0`` and ``theta1`` are :func:`clock_angle` values, floats or
+    broadcastable arrays; the result has their broadcast shape.  It is zero
+    when no grid point lies inside (0, 1), and otherwise the integral of the
+    dominant diagonal cell, within 1.9e-21 absolute by the bound above.
+    """
+    g = _validate_grid("grid", grid)
+    theta0 = np.asarray(theta0, dtype=float)
+    half = 0.5 * (np.asarray(theta1, dtype=float) - theta0)
+    inner = g[(g > 0.0) & (g < 1.0)]
+    if inner.size == 0:
+        return np.zeros(half.shape)
+    c = float(np.min(ndtri(inner) ** 2))
+    x = (theta0 + half)[..., None] + half[..., None] * _SUP_NODES
+    return np.abs(half * (np.exp(-c / (1.0 + np.sin(x))) @ _SUP_WEIGHTS)) / (2.0 * math.pi)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import SampledPath
+from .estimators import SampledPath, _is_int, _is_real
 
 __all__ = [
     "CirParams",
@@ -45,7 +45,7 @@ class CirParams:
             ("nu", self.nu),
             ("s0", self.s0),
         ):
-            if not (isinstance(val, (int, float)) and math.isfinite(val) and val > 0.0):
+            if not (_is_real(val) and math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be a positive finite real, got {val!r}")
         if not 2.0 * self.kappa * self.theta > self.nu ** 2:
             raise ValueError(
@@ -62,8 +62,7 @@ class ConstantVol:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.sigma2, (int, float)) and math.isfinite(self.sigma2)
-                and self.sigma2 > 0.0):
+        if not (_is_real(self.sigma2) and math.isfinite(self.sigma2) and self.sigma2 > 0.0):
             raise ValueError(f"sigma2 must be a positive finite real, got {self.sigma2!r}")
 
 
@@ -80,11 +79,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
+        if not (_is_int(self.n) and self.n >= 1):
             raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
         object.__setattr__(self, "n", int(self.n))
-        if not (isinstance(self.horizon, (int, float)) and math.isfinite(self.horizon)
-                and self.horizon > 0.0):
+        if not (_is_real(self.horizon) and math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be a positive finite real, got {self.horizon!r}")
         intervals = self.n * self.horizon
         if abs(intervals - round(intervals)) > 1e-9 or round(intervals) < 1:
@@ -92,10 +90,10 @@ class SimConfig:
                 f"n*horizon must be a positive integer number of intervals, "
                 f"got {intervals!r}"
             )
-        if not (isinstance(self.substeps, (int, np.integer)) and self.substeps >= 1):
+        if not (_is_int(self.substeps) and self.substeps >= 1):
             raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
         object.__setattr__(self, "substeps", int(self.substeps))
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 64):
+        if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -283,3 +283,31 @@ def test_bad_spec_value_exits_2(tmp_path, capsys):
     code = main(["--command", "qq", "--u", "0.0", "--out", str(tmp_path / "o")])
     assert code == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    ("qq", "replications"), ("qq", "n"), ("qq", "horizon"), ("qq", "constant_vol"),
+    ("qq", "t"), ("contour", "uv_grid"), ("rho", "uv_grid"), ("simulate", "n"),
+    ("simulate", "horizon"),
+])
+def test_boolean_config_value_exits_2(tmp_path, capsys, command, key):
+    cfg = tmp_path / "c.json"
+    small = {"n": 200, "replications": 2, "uv_grid": 5}
+    cfg.write_text(json.dumps({"command": command, **small, key: True}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "True" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_boolean_query_value_exits_2(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    assert main(["--command", "simulate", "--n", "100", "--constant-vol", "1.0",
+                 "--out", str(sim)]) == 0
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"command": "estimate", "input": str(sim / "scenario.csv"),
+                               "s": 0.3, "t": 0.7, "u": 0.5, "v": True}), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "True" in capsys.readouterr().err
+    assert not out.exists()

@@ -35,6 +35,10 @@ def test_path_validation():
         SampledPath(values=np.array([0.0, 1.0]), n=0, horizon=1.0)
     with pytest.raises(ValueError):
         SampledPath(values=np.array([[0.0, 1.0]]), n=1, horizon=1.0)
+    with pytest.raises(ValueError):
+        SampledPath(values=np.array([0.0, 1.0]), n=True, horizon=1.0)
+    with pytest.raises(ValueError):
+        SampledPath(values=np.array([0.0, 1.0]), n=1, horizon=True)
 
 
 def test_realized_variation_toy():
@@ -196,6 +200,10 @@ def test_query_validation():
         CopulaQuery(s=0.0, t=0.7, u=0.5, v=0.5)
     with pytest.raises(ValueError):
         CopulaQuery(s=0.3, t=0.7, u=1.2, v=0.5)
+    with pytest.raises(ValueError):
+        CopulaQuery(s=0.3, t=True, u=0.5, v=0.5)
+    with pytest.raises(ValueError):
+        CopulaQuery(s=0.3, t=0.7, u=0.5, v=True)
     with pytest.raises(ValueError):
         CopulaEstimate(c_hat=0.5, v_hat=-1.0, ci_lo=0.4, ci_hi=0.6, level=0.95)
     with pytest.raises(ValueError):

@@ -25,8 +25,8 @@ from hfcopula.experiments import (
     write_csv,
     write_report,
 )
-from hfcopula.kernel import psi_grid, uv_cells
-from hfcopula.simulate import CirParams, ConstantVol, SimConfig, simulate_scenario
+from hfcopula.kernel import psi_grid
+from hfcopula.simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +50,11 @@ def test_spec_validation():
         RhoSpec(n_list=())
 
 
-# a bad value of each field the specs share; n_list and uv_grid where present
+# a bad value of each field the specs share; n_list, uv_grid and t where present
 SHARED_BAD = [("horizon", 0.0), ("horizon", math.inf), ("replications", 0), ("seed", -1),
               ("substeps", 0), ("vol", "cir"), ("n_list", ()), ("n_list", (100, 0)),
-              ("uv_grid", 1)]
+              ("uv_grid", 1), ("horizon", True), ("replications", True), ("seed", False),
+              ("substeps", True), ("n_list", (True,)), ("uv_grid", True), ("t", True)]
 
 
 SHARED_CASES = [(cls, field, bad) for cls in (ContourSpec, QqSpec, RhoSpec)
@@ -184,37 +185,38 @@ def _realized_clock(spec, n, seed):
     return true, np.array([realized_variation(scn.path, float(t)) for t in times])
 
 
-def _cells(spec):
-    return uv_cells(np.linspace(0.0, 1.0, spec.uv_grid))
+def _uv(spec):
+    return np.linspace(0.0, 1.0, spec.uv_grid)
 
 
 def test_rho_against_itself_is_zero():
     spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11, vol=ConstantVol(1.0))
     _, rv = _realized_clock(spec, 100, spec.seed)
-    d, b = _cells(spec)
-    assert _sup_distance(rv, rv, d, b) == 0.0
+    assert _sup_distance(rv, rv, _uv(spec)) == 0.0
 
 
 def test_rho_transpose_invariance():
     """Reversing the time grid swaps the two times of every pair."""
     spec = RhoSpec(n_list=(100,), replications=1, uv_grid=11)
     true, rv = _realized_clock(spec, 100, 1)
-    d, b = _cells(spec)
-    assert _sup_distance(true[::-1], rv[::-1], d, b) == _sup_distance(true, rv, d, b)
+    assert _sup_distance(true[::-1], rv[::-1], _uv(spec)) == _sup_distance(true, rv, _uv(spec))
 
 
 def test_rho_matches_kernel_grid_differences():
-    """At criterion 4's settings, on a coarser grid, the sup agrees with the
-    one taken over differences of two psi_grid evaluations."""
-    spec = RhoSpec(n_list=(2500,), replications=1, uv_grid=21, vol=ConstantVol(1.0))
-    ug = np.linspace(0.0, 1.0, spec.uv_grid)
-    for seed in (0, 1):
-        true, rv = _realized_clock(spec, 2500, seed)
-        ref = max(float(np.max(np.abs(psi_grid(rv[i], rv[j], ug, ug)
-                                      - psi_grid(true[i], true[j], ug, ug))))
-                  for i in range(rv.size) for j in range(i + 1, rv.size))
-        assert _rho_replication(spec, 2500, *_cells(spec), seed) == \
-            pytest.approx(ref, rel=1e-9)
+    """On random odd and even grids and both volatility models, the sup
+    agrees with the one taken over differences of two psi_grid evaluations,
+    for every time pair and every cell."""
+    rng = np.random.default_rng(4)
+    for vol, n in ((ConstantVol(1.0), 2500), (DEFAULT_CIR, 400)):
+        for size in (2 * rng.integers(2, 12) + 1, 2 * rng.integers(1, 12)):
+            spec = RhoSpec(n_list=(n,), replications=1, uv_grid=int(size), vol=vol)
+            ug = _uv(spec)
+            seed = int(rng.integers(1000))
+            true, rv = _realized_clock(spec, n, seed)
+            ref = max(float(np.max(np.abs(psi_grid(rv[i], rv[j], ug, ug)
+                                          - psi_grid(true[i], true[j], ug, ug))))
+                      for i in range(rv.size) for j in range(i + 1, rv.size))
+            assert abs(_rho_replication(spec, n, seed) - ref) <= 1e-12 * ref
 
 
 def test_rho_without_interior_cells_is_zero():

@@ -13,9 +13,8 @@ from hfcopula.kernel import (
     grad_psi,
     grad_psi_grid,
     psi,
-    psi_difference,
     psi_grid,
-    uv_cells,
+    sup_difference,
 )
 
 # P(Z1 <= Phi^-1(0.7), Z2 <= Phi^-1(0.3)) at corr sqrt(3/7); mpmath double
@@ -35,6 +34,19 @@ LOWER_TAIL = (
     (0.6, 0.95, 0.3, 5e-13, 4.9999999999999999e-13),
     (0.05, 0.5, 0.6, 1e-12, 9.9603473844342877e-13),
 )
+
+# (before, after) clock pairs: the kernel changes between the two correlations
+CLOCK_STEPS = [
+    ((0.0, 1.0), (0.99 ** 2, 1.0)),           # rho 0 -> 0.99, from the lo == 0 branch
+    ((0.25, 1.0), (0.9999 ** 2, 1.0)),        # wide range ending near 1
+    ((0.99 ** 2, 1.0), (0.99999 ** 2, 1.0)),
+    ((0.7, 0.3), (0.31, 0.7)),                # narrow, times in either order
+    ((2.0, 1.0), (0.5, 2.0)),                 # correlation falls
+    ((1.0, 1.0 + 1e-4), (1.0, 1.0 + 2e-4)),   # relative clock gaps of 1e-4
+    ((0.5, 1.0), (1.0, 1.0 + 1e-4)),
+    ((0.5, 1.0), (1.0, 1.0)),                 # to the diagonal branch, rho = 1
+    ((0.3, 0.7), (0.7, 0.3)),                 # equal angles
+]
 
 
 def test_diagonal_branch():
@@ -182,7 +194,8 @@ def test_grid_matches_scalar_route():
     ug = np.array([0.0, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0])
     vg = np.array([0.0, 0.1, 0.25, 0.5, 0.8, 0.9, 1.0])
     iu, iv = np.meshgrid(np.arange(1, 6), np.arange(1, 6), indexing="ij")
-    for s, t in ((0.3, 0.7), (1.0, 2.0), (0.05, 1.8), (0.9, 1.0)):
+    pairs = [(0.3, 0.7), (1.0, 2.0), (0.05, 1.8), (0.9, 1.0)]
+    for s, t in pairs + [after for _, after in CLOCK_STEPS]:
         grid = psi_grid(s, t, ug, vg)
         ref = _bvn_cdf(ndtri(ug[iu.ravel()]), ndtri(vg[iv.ravel()]), s, t)
         np.testing.assert_allclose(grid[1:-1, 1:-1].ravel(), ref, rtol=0.0, atol=1e-8)
@@ -269,6 +282,8 @@ def test_grid_input_validation():
         psi_grid(0.3, 0.7, np.array([-0.1, 0.5]), good)  # out of range
     with pytest.raises(ValueError):
         grad_psi_grid(0.7, 0.3, good, good)  # s >= t
+    with pytest.raises(ValueError):
+        sup_difference(good[::-1].copy(), 0.1, 0.2)
 
 
 def _bvn_cdf(h, k, s, t):
@@ -281,37 +296,45 @@ def _bvn_cdf(h, k, s, t):
     return dist.cdf(np.column_stack([h, k]))
 
 
-@pytest.mark.parametrize("before, after", [
-    ((0.0, 1.0), (0.99 ** 2, 1.0)),           # rho 0 -> 0.99, from the lo == 0 branch
-    ((0.25, 1.0), (0.9999 ** 2, 1.0)),        # wide range ending near 1
-    ((0.99 ** 2, 1.0), (0.99999 ** 2, 1.0)),
-    ((0.7, 0.3), (0.31, 0.7)),                # narrow, times in either order
-    ((2.0, 1.0), (0.5, 2.0)),                 # correlation falls
-    ((1.0, 1.0 + 1e-4), (1.0, 1.0 + 2e-4)),   # relative clock gaps of 1e-4
-    ((0.5, 1.0), (1.0, 1.0 + 1e-4)),
-    ((0.5, 1.0), (1.0, 1.0)),                 # to the diagonal branch, rho = 1
-])
-def test_psi_difference_matches_bivariate_normal(before, after):
-    ug = np.linspace(0.0, 1.0, 21)
-    iu, iv = np.triu_indices(ug.size - 2)
-    h, k = ndtri(ug[1:-1][iu]), ndtri(ug[1:-1][iv])
-    got = psi_difference(*uv_cells(ug), clock_angle(*before), clock_angle(*after))
-    ref = _bvn_cdf(h, k, *after) - _bvn_cdf(h, k, *before)
-    assert np.max(np.abs(got - ref)) <= 1e-12
+@pytest.mark.parametrize("before, after", CLOCK_STEPS)
+def test_sup_difference_matches_bivariate_normal(before, after):
+    """The one-cell sup against scipy's bivariate normal maximised over all
+    cells, on odd grids (1/2 on the grid) and even ones."""
+    theta0, theta1 = clock_angle(*before), clock_angle(*after)
+    for size in (3, 4, 20, 21):
+        ug = np.linspace(0.0, 1.0, size)
+        h = ndtri(ug[1:-1])
+        hh, kk = (a.ravel() for a in np.meshgrid(h, h, indexing="ij"))
+        ref = np.max(np.abs(_bvn_cdf(hh, kk, *after) - _bvn_cdf(hh, kk, *before)))
+        got = sup_difference(ug, theta0, theta1)
+        assert got.shape == ()
+        assert abs(got - ref) <= 1e-14
+        assert (got == 0.0) == (theta0 == theta1)
 
 
-def test_psi_difference_equal_angles_is_zero():
-    theta = clock_angle(0.3, 0.7)
-    d, b = uv_cells(np.linspace(0.05, 0.95, 7))
-    assert np.all(psi_difference(d, b, theta, theta) == 0.0)
+def test_sup_difference_broadcasts_and_edge_grid():
+    theta0 = np.array([0.1, 0.7, 1.2])
+    got = sup_difference(np.linspace(0.0, 1.0, 20), theta0, 0.5)
+    assert got.shape == (3,)
+    for th, g in zip(theta0, got):
+        assert g == sup_difference(np.linspace(0.0, 1.0, 20), th, 0.5)
+    # no interior point: the kernel is the same at every clock
+    np.testing.assert_array_equal(sup_difference(np.array([0.0, 1.0]), theta0, 0.5),
+                                  np.zeros(3))
 
 
-def test_uv_cells_interior_upper_triangle():
-    d, b = uv_cells(np.linspace(0.0, 1.0, 6))
-    assert d.shape == b.shape == (10,)  # 4 interior points, cells u <= v
-    assert uv_cells(np.array([0.0, 1.0]))[0].size == 0
-    with pytest.raises(ValueError):
-        uv_cells(np.array([0.5, 0.2]))
+def test_diagonal_cell_dominates():
+    """No cell with |h|, |k| >= h* has a larger integrand than (h*, h*), at any angle."""
+    rng = np.random.default_rng(12)
+    m = 100_000
+    theta = rng.uniform(0.0, 0.5 * math.pi, size=m)
+    h_star = rng.uniform(0.0, 3.0, size=m)
+    h = np.where(rng.random(m) < 0.5, -1.0, 1.0) * (h_star + rng.exponential(1.0, size=m))
+    k = np.where(rng.random(m) < 0.5, -1.0, 1.0) * (h_star + rng.exponential(1.0, size=m))
+    sin, cos2 = np.sin(theta), np.cos(theta) ** 2
+    cell = (h * h + k * k - 2.0 * h * k * sin) / (2.0 * cos2)
+    diagonal = h_star ** 2 / (1.0 + sin)
+    assert np.all(cell >= diagonal * (1.0 - 1e-12))
 
 
 def test_clock_angle_branches():

@@ -36,6 +36,15 @@ def test_param_validation():
         SimConfig(n=10, horizon=0.55)  # n * horizon not an integer
     with pytest.raises(ValueError):
         SimConfig(n=10, substeps=0)
+    # bool is an int subclass; neither flag value is a count or a real
+    for bad in ({"n": True}, {"n": 10, "horizon": True}, {"n": 10, "substeps": True},
+                {"n": 10, "seed": False}):
+        with pytest.raises(ValueError):
+            SimConfig(**bad)
+    with pytest.raises(ValueError):
+        ConstantVol(sigma2=True)
+    with pytest.raises(ValueError):
+        CirParams(kappa=0.5, theta=1.5, nu=True, s0=1.5)
 
 
 def test_cir_small_noise_tracks_ode():
