@@ -2,9 +2,13 @@
 
 One executable with five commands (simulate, estimate, contour, qq, rho)
 wired to the library modules.  Settings resolve in three layers: built-in
-defaults, then a JSON config file, then command-line flags.  All outputs
-are UTF-8 CSV plus a JSON metadata file that echoes the resolved settings,
-so any output directory is reproducible from its own metadata.
+defaults, then a JSON config file, then command-line flags; a config-file
+value must have the type of its flag.  Each command returns an
+:class:`ExperimentReport` and a one-line summary and writes nothing;
+:func:`main` writes the report with :func:`write_report`, so every check
+runs before any file exists.  All outputs are UTF-8 CSV plus a JSON
+metadata file that echoes the resolved settings, so any output directory
+is reproducible from its own metadata.
 
 Exit codes: 0 success, 2 config or validation error, 3 numerical failure
 (realized variations that coincide), 4 I/O or input-data error.
@@ -16,24 +20,35 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .estimators import CopulaQuery, SampledPath, boundary_aware_interval, realized_variation
+from .estimators import (
+    CopulaQuery,
+    SampledPath,
+    _is_int,
+    _is_real,
+    boundary_aware_interval,
+    realized_variation,
+)
 from .experiments import (
     ContourSpec,
+    ExperimentReport,
     QqSpec,
     RhoSpec,
+    _vol_dict,
     run_contour,
     run_qq,
     run_rho,
-    write_csv,
     write_report,
 )
+# bound here only for bench/tracing.py, which wraps cli.write_csv by name
+from .experiments import write_csv  # noqa: F401
 from .kernel import NearDiagonalError
-from .simulate import CirParams, ConstantVol, SimConfig, simulate_scenario
+from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 __all__ = ["main"]
 
@@ -93,8 +108,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-# every key a config file may set; anything else is a config error
-_CONFIG_KEYS = frozenset(a.dest for a in _build_parser()._actions) - _FLAG_ONLY
+# the type= of the flag of every key a config file may set; any other key is
+# a config error
+_CONFIG_TYPES = {a.dest: a.type for a in _build_parser()._actions if a.dest not in _FLAG_ONLY}
+_CONFIG_KEYS = frozenset(_CONFIG_TYPES)
+
+# a config-file value must pass the check for its flag's type (n_list may
+# also be a JSON list); null passes none of them
+_TYPE_CHECKS = {
+    int: (_is_int, "an integer"),
+    float: (_is_real, "a real number"),
+    None: (lambda val: isinstance(val, str), "a string"),
+}
 
 
 def _load_config_file(path: Path) -> dict:
@@ -117,96 +142,76 @@ def _load_config_file(path: Path) -> dict:
 def _resolve(args: argparse.Namespace) -> dict:
     cfg: dict = {"seed": 0, "out": "out", "workers": 1, "level": 0.95}
     if args.config is not None:
-        cfg.update(_load_config_file(args.config))
-    flag_names = [k for k in _CONFIG_KEYS if k not in ("command",)]
-    for key in flag_names:
+        data = _load_config_file(args.config)
+        for key, val in data.items():
+            is_type, what = _TYPE_CHECKS[_CONFIG_TYPES[key]]
+            if not (is_type(val) or key == "n_list" and isinstance(val, list)):
+                raise ConfigError(f"config value {key!r} must be {what}, got {val!r}")
+        cfg.update(data)
+    for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    if args.command is not None:
-        cfg["command"] = args.command
     if "command" not in cfg:
         raise ConfigError("no command given: use --command or a config file")
     if cfg["command"] not in _COMMANDS:
         raise ConfigError(f"unknown command {cfg['command']!r}")
-    workers = cfg["workers"]
-    if not (isinstance(workers, int) and not isinstance(workers, bool) and workers >= 1):
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    if cfg["workers"] < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {cfg['workers']!r}")
     if isinstance(cfg.get("n_list"), str):
         try:
             cfg["n_list"] = tuple(int(x) for x in cfg["n_list"].split(",") if x.strip())
         except ValueError as exc:
             raise ConfigError(f"bad n_list: {cfg['n_list']!r}") from exc
-    if isinstance(cfg.get("n_list"), list):
-        cfg["n_list"] = tuple(cfg["n_list"])
     return cfg
 
 
+def _set_fields(cls, cfg: dict) -> dict:
+    """The fields of dataclass ``cls`` that the resolved config sets."""
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
+
+
 def _vol_model(cfg: dict) -> CirParams | ConstantVol:
-    if cfg.get("constant_vol") is not None:
+    if "constant_vol" in cfg:
         return ConstantVol(sigma2=cfg["constant_vol"])
-    return CirParams(
-        kappa=cfg.get("kappa", 0.5),
-        theta=cfg.get("theta", 1.5),
-        nu=cfg.get("nu", 1.0),
-        s0=cfg.get("s0", 1.5),
-    )
+    return replace(DEFAULT_CIR, **_set_fields(CirParams, cfg))
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict) -> tuple[ExperimentReport, str]:
     vol = _vol_model(cfg)
-    sim = SimConfig(
-        n=cfg.get("n", 1000),
-        horizon=cfg.get("horizon", 1.0),
-        substeps=cfg.get("substeps", 10),
-        seed=cfg["seed"],
-    )
+    sim = SimConfig(**{"n": 1000, **_set_fields(SimConfig, cfg)})
     scn = simulate_scenario(vol, sim)
-
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    times = np.arange(scn.path.values.size) / sim.n
-    write_csv(out / "scenario.csv", {
-        "time": times,
-        "X": scn.path.values,
-        "true_T": scn.true_T,
-        "true_Q": scn.true_Q,
-    })
-    meta = {
-        "command": "simulate",
-        "version": __version__,
-        "seed": sim.seed,
-        "n": sim.n,
-        "horizon": sim.horizon,
-        "substeps": sim.substeps,
-        "vol": {"model": "constant", "sigma2": vol.sigma2} if isinstance(vol, ConstantVol)
-        else {"model": "cir", "kappa": vol.kappa, "theta": vol.theta,
-              "nu": vol.nu, "s0": vol.s0},
-        "files": ["scenario.csv"],
-    }
-    (out / "simulate_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"simulate: wrote {scn.path.values.size} rows to {out / 'scenario.csv'}")
-    return 0
+    values = scn.path.values
+    scenario = {"time": np.arange(values.size) / sim.n, "X": values,
+                "true_T": scn.true_T, "true_Q": scn.true_Q}
+    meta = {"command": "simulate", "version": __version__, **asdict(sim),
+            "vol": _vol_dict(vol)}
+    return ExperimentReport("simulate", {"scenario": scenario}, meta), f"rows={values.size}"
 
 
-def _read_path_csv(path: Path) -> SampledPath:
+def _read_columns(path: str, needed: tuple[str, ...],
+                  optional: tuple[str, ...] = ()) -> dict[str, list[float]]:
+    """The columns ``needed``, and those of ``optional`` present, of a CSV file as floats."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise InputDataError(f"cannot read input file {path}: {exc}") from exc
+        raise InputDataError(f"cannot read {path}: {exc}") from exc
     rows = list(csv.reader(text.splitlines()))
     if not rows:
         raise InputDataError(f"{path}: empty file")
     header = [h.strip() for h in rows[0]]
-    if "time" not in header or "X" not in header:
-        raise InputDataError(f"{path}: header must contain 'time' and 'X' columns")
-    it, ix = header.index("time"), header.index("X")
+    if any(c not in header for c in needed):
+        raise InputDataError(f"{path}: header must contain columns {','.join(needed)}")
+    index = {c: header.index(c) for c in (*needed, *optional) if c in header}
     try:
-        times = np.array([float(r[it]) for r in rows[1:]])
-        values = np.array([float(r[ix]) for r in rows[1:]])
+        return {c: [float(r[i]) for r in rows[1:]] for c, i in index.items()}
     except (ValueError, IndexError) as exc:
         raise InputDataError(f"{path}: malformed data row: {exc}") from exc
+
+
+def _read_path_csv(path: str) -> SampledPath:
+    cols = _read_columns(path, ("time", "X"))
+    times, values = np.array(cols["time"]), np.array(cols["X"])
     if times.size < 2:
         raise InputDataError(f"{path}: need at least 2 observations")
 
@@ -224,46 +229,31 @@ def _read_path_csv(path: Path) -> SampledPath:
 
 
 def _read_queries(cfg: dict) -> list[tuple[CopulaQuery, float]]:
-    default_level = cfg["level"]
-    if cfg.get("queries") is not None:
-        qpath = Path(cfg["queries"])
-        try:
-            text = qpath.read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InputDataError(f"cannot read queries file {qpath}: {exc}") from exc
-        rows = list(csv.reader(text.splitlines()))
-        if not rows:
-            raise InputDataError(f"{qpath}: empty file")
-        header = [h.strip() for h in rows[0]]
-        needed = ("s", "t", "u", "v")
-        if any(c not in header for c in needed):
-            raise InputDataError(f"{qpath}: header must contain columns s,t,u,v")
-        idx = {c: header.index(c) for c in needed}
-        ilevel = header.index("level") if "level" in header else None
-        out = []
-        for r in rows[1:]:
-            try:
-                fields = {c: float(r[idx[c]]) for c in needed}
-                lvl = float(r[ilevel]) if ilevel is not None else default_level
-            except (IndexError, ValueError) as exc:
-                raise InputDataError(f"{qpath}: malformed query row {r!r}: {exc}") from exc
-            # domain violations are validation errors, not data errors
-            out.append((CopulaQuery(**fields), lvl))
+    if "queries" in cfg:
+        cols = _read_columns(cfg["queries"], ("s", "t", "u", "v"), optional=("level",))
+        levels = cols.get("level", [cfg["level"]] * len(cols["s"]))
+        # domain violations are validation errors, not data errors
+        out = [(CopulaQuery(s, t, u, v), lvl) for s, t, u, v, lvl
+               in zip(cols["s"], cols["t"], cols["u"], cols["v"], levels)]
         if not out:
-            raise InputDataError(f"{qpath}: no query rows")
+            raise InputDataError(f"{cfg['queries']}: no query rows")
         return out
-    missing = [k for k in ("s", "t", "u", "v") if cfg.get(k) is None]
+    missing = [k for k in ("s", "t", "u", "v") if k not in cfg]
     if missing:
         raise ConfigError(
             f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
         )
-    return [(CopulaQuery(s=cfg["s"], t=cfg["t"], u=cfg["u"], v=cfg["v"]), default_level)]
+    return [(CopulaQuery(s=cfg["s"], t=cfg["t"], u=cfg["u"], v=cfg["v"]), cfg["level"])]
 
 
-def cmd_estimate(cfg: dict) -> int:
-    if cfg.get("input") is None:
+_ESTIMATE_COLUMNS = ("s", "t", "u", "v", "level", "c_hat", "v_hat",
+                     "ci_lo", "ci_hi", "rv_s", "rv_t")
+
+
+def cmd_estimate(cfg: dict) -> tuple[ExperimentReport, str]:
+    if "input" not in cfg:
         raise ConfigError("estimate needs --input pointing at a path CSV")
-    path = _read_path_csv(Path(cfg["input"]))
+    path = _read_path_csv(cfg["input"])
     queries = _read_queries(cfg)
     for q, lvl in queries:
         if not 0.0 < lvl < 1.0:
@@ -273,98 +263,45 @@ def cmd_estimate(cfg: dict) -> int:
                 f"query ({q.s!r}, {q.t!r}) outside the observed horizon {path.horizon!r}"
             )
 
-    cols: dict[str, list] = {k: [] for k in
-                             ("s", "t", "u", "v", "level", "c_hat", "v_hat",
-                              "ci_lo", "ci_hi", "rv_s", "rv_t")}
+    rows = []
     for q, lvl in queries:
         est = boundary_aware_interval(path, q, lvl)
-        cols["s"].append(q.s)
-        cols["t"].append(q.t)
-        cols["u"].append(q.u)
-        cols["v"].append(q.v)
-        cols["level"].append(lvl)
-        cols["c_hat"].append(est.c_hat)
-        cols["v_hat"].append(est.v_hat)
-        cols["ci_lo"].append(est.ci_lo)
-        cols["ci_hi"].append(est.ci_hi)
-        cols["rv_s"].append(realized_variation(path, q.s))
-        cols["rv_t"].append(realized_variation(path, q.t))
-
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "estimates.csv", {k: np.array(v) for k, v in cols.items()})
-    meta = {
-        "command": "estimate",
-        "version": __version__,
-        "input": str(cfg["input"]),
-        "n": path.n,
-        "horizon": path.horizon,
-        "queries": len(queries),
-        "files": ["estimates.csv"],
-    }
-    (out / "estimate_meta.json").write_text(
-        json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"estimate: wrote {len(queries)} rows to {out / 'estimates.csv'}")
-    return 0
+        rows.append((q.s, q.t, q.u, q.v, lvl, est.c_hat, est.v_hat, est.ci_lo, est.ci_hi,
+                     realized_variation(path, q.s), realized_variation(path, q.t)))
+    estimates = {name: np.array(col) for name, col in zip(_ESTIMATE_COLUMNS, zip(*rows))}
+    meta = {"command": "estimate", "version": __version__, "input": cfg["input"],
+            "n": path.n, "horizon": path.horizon, "queries": len(queries)}
+    return ExperimentReport("estimate", {"estimates": estimates}, meta), f"rows={len(rows)}"
 
 
-def cmd_experiment(cfg: dict) -> int:
-    command = cfg["command"]
-    vol = _vol_model(cfg)
-    common = {"seed": cfg["seed"], "vol": vol}
-    if cfg.get("substeps") is not None:
-        common["substeps"] = cfg["substeps"]
-    if cfg.get("horizon") is not None:
-        common["horizon"] = cfg["horizon"]
+# one line per n of a contour or rho run, filled from its metadata entry for n
+_PER_N_SUMMARY = {
+    "contour": "coverage={mean_interior_coverage:.4f} mean_width={mean_interior_width:.5f}",
+    "rho": "median={median_rho:.5f} ref={ref_rate:.5f}",
+}
 
-    if command == "contour":
-        spec_kwargs = dict(common)
-        for key in ("s", "t", "uv_grid", "level", "replications"):
-            if cfg.get(key) is not None:
-                spec_kwargs[key] = cfg[key]
-        if cfg.get("n_list") is not None:
-            spec_kwargs["n_list"] = cfg["n_list"]
-        elif cfg.get("n") is not None:
-            spec_kwargs["n_list"] = (cfg["n"],)
-        spec = ContourSpec(**spec_kwargs)
-        report = run_contour(spec, workers=cfg["workers"])
-        per_n = report.metadata["per_n"]
-        summary = "; ".join(
-            f"n={n} coverage={per_n[str(n)]['mean_interior_coverage']:.4f} "
-            f"mean_width={per_n[str(n)]['mean_interior_width']:.5f}"
-            for n in spec.n_list)
-    elif command == "qq":
-        spec_kwargs = dict(common)
-        for key in ("s", "t", "u", "v", "n", "replications"):
-            if cfg.get(key) is not None:
-                spec_kwargs[key] = cfg[key]
-        spec = QqSpec(**spec_kwargs)
-        report = run_qq(spec, workers=cfg["workers"])
-        md = report.metadata
-        summary = (f"kept={md['kept']} dropped={sum(md['dropped'].values())} "
-                   f"ks={md['ks_distance']:.4f} mean={md['mean_statistic']:.4f} "
-                   f"var={md['variance_statistic']:.4f}")
-    else:
-        spec_kwargs = dict(common)
-        for key in ("tau", "st_step", "uv_grid", "replications"):
-            if cfg.get(key) is not None:
-                spec_kwargs[key] = cfg[key]
-        if cfg.get("n_list") is not None:
-            spec_kwargs["n_list"] = cfg["n_list"]
-        elif cfg.get("n") is not None:
-            spec_kwargs["n_list"] = (cfg["n"],)
-        spec = RhoSpec(**spec_kwargs)
-        report = run_rho(spec, workers=cfg["workers"])
-        per_n = report.metadata["per_n"]
-        summary = "; ".join(
-            f"n={n} median={per_n[str(n)]['median_rho']:.5f} "
-            f"ref={per_n[str(n)]['ref_rate']:.5f}"
-            for n in spec.n_list)
 
-    paths = write_report(report, cfg["out"])
-    print(f"{command}: {summary}")
-    print(f"{command}: wrote {len(paths)} files to {cfg['out']}")
-    return 0
+def _summary(md: dict) -> str:
+    if md["kind"] == "qq":
+        return (f"kept={md['kept']} dropped={sum(md['dropped'].values())} "
+                f"ks={md['ks_distance']:.4f} mean={md['mean_statistic']:.4f} "
+                f"var={md['variance_statistic']:.4f}")
+    return "; ".join(f"n={n} " + _PER_N_SUMMARY[md["kind"]].format(**entry)
+                     for n, entry in md["per_n"].items())
+
+
+def cmd_experiment(cfg: dict) -> tuple[ExperimentReport, str]:
+    # built per call, so that a runner name rebound in this module is the one called
+    spec_cls, run = {
+        "contour": (ContourSpec, run_contour),
+        "qq": (QqSpec, run_qq),
+        "rho": (RhoSpec, run_rho),
+    }[cfg["command"]]
+    kwargs = _set_fields(spec_cls, cfg)
+    if "n_list" in spec_cls.__dataclass_fields__ and "n" in cfg:
+        kwargs.setdefault("n_list", (cfg["n"],))
+    report = run(spec_cls(**kwargs, vol=_vol_model(cfg)), workers=cfg["workers"])
+    return report, _summary(report.metadata)
 
 
 def main(argv=None) -> int:
@@ -374,11 +311,13 @@ def main(argv=None) -> int:
         cfg = _resolve(args)
         if args.verbose:
             print(json.dumps(cfg, sort_keys=True, default=str), file=sys.stderr)
-        if cfg["command"] == "simulate":
-            return cmd_simulate(cfg)
-        if cfg["command"] == "estimate":
-            return cmd_estimate(cfg)
-        return cmd_experiment(cfg)
+        command = cfg["command"]
+        build = {"simulate": cmd_simulate, "estimate": cmd_estimate}.get(command, cmd_experiment)
+        report, summary = build(cfg)
+        paths = write_report(report, cfg["out"])
+        print(f"{command}: {summary}")
+        print(f"{command}: wrote {len(paths)} files to {cfg['out']}")
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -43,6 +43,22 @@ def _is_real(val) -> bool:
     return isinstance(val, (int, float)) and not isinstance(val, bool)
 
 
+def _check_pos_int(name: str, val, minimum: int = 1) -> int:
+    if not (_is_int(val) and val >= minimum):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {val!r}")
+    return int(val)
+
+
+def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf,
+                closed: bool = False) -> float:
+    """``val`` as a float, if it is a finite real in (lo, hi), or [lo, hi] if ``closed``."""
+    if not (_is_real(val) and math.isfinite(val)
+            and (lo <= val <= hi if closed else lo < val < hi)):
+        bounds = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+        raise ValueError(f"{name} must be a finite real in {bounds}, got {val!r}")
+    return float(val)
+
+
 @dataclass(frozen=True, eq=False)
 class SampledPath:
     """Path values X_{i/n}, i = 0..floor(n*horizon), with cached prefix sums."""
@@ -58,11 +74,8 @@ class SampledPath:
             raise ValueError("values must be one-dimensional")
         if not np.all(np.isfinite(vals)):
             raise ValueError("values must all be finite")
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (_is_real(self.horizon) and self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ValueError(f"horizon must be a positive finite real, got {self.horizon!r}")
+        object.__setattr__(self, "n", _check_pos_int("n", self.n))
+        _check_real("horizon", self.horizon, lo=0.0)
         expected = int(math.floor(self.n * self.horizon + _INDEX_GUARD)) + 1
         if vals.size != expected:
             raise ValueError(
@@ -93,12 +106,10 @@ class CopulaQuery:
     v: float
 
     def __post_init__(self) -> None:
-        for name, val in (("s", self.s), ("t", self.t)):
-            if not (_is_real(val) and math.isfinite(val) and val > 0.0):
-                raise ValueError(f"{name} must be a positive finite real, got {val!r}")
-        for name, val in (("u", self.u), ("v", self.v)):
-            if not (_is_real(val) and 0.0 <= val <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {val!r}")
+        _check_real("s", self.s, lo=0.0)
+        _check_real("t", self.t, lo=0.0)
+        _check_real("u", self.u, lo=0.0, hi=1.0, closed=True)
+        _check_real("v", self.v, lo=0.0, hi=1.0, closed=True)
 
 
 @dataclass(frozen=True)

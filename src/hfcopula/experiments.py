@@ -24,8 +24,8 @@ from scipy.special import ndtr, ndtri
 from . import __version__
 from .estimators import (
     CopulaQuery,
-    _is_int,
-    _is_real,
+    _check_pos_int,
+    _check_real,
     copula_estimate,
     interval_bounds,
     quarticity,
@@ -56,18 +56,6 @@ __all__ = [
     "write_report",
     "write_csv",
 ]
-
-
-def _check_pos_int(name: str, val, minimum: int = 1) -> int:
-    if not (_is_int(val) and val >= minimum):
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {val!r}")
-    return int(val)
-
-
-def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf) -> float:
-    if not (_is_real(val) and math.isfinite(val) and lo < val < hi):
-        raise ValueError(f"{name} must be a finite real in ({lo}, {hi}), got {val!r}")
-    return float(val)
 
 
 def _check_spec(spec) -> None:
@@ -165,26 +153,28 @@ class RhoSpec:
 
 @dataclass(frozen=True, eq=False)
 class ExperimentReport:
-    """Named data columns plus JSON-ready metadata for one experiment run."""
+    """Named data columns plus JSON-ready metadata for one command's run."""
 
     kind: str
     tables: dict[str, dict[str, np.ndarray]]
     metadata: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in ("contour", "qq", "rho"):
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if self.kind not in ("simulate", "estimate", "contour", "qq", "rho"):
+            raise ValueError(f"unknown report kind {self.kind!r}")
         for tname, cols in self.tables.items():
             lengths = {name: len(arr) for name, arr in cols.items()}
             if len(set(lengths.values())) > 1:
                 raise ValueError(f"table {tname!r} has ragged columns: {lengths}")
 
 
+def _vol_dict(vol: CirParams | ConstantVol) -> dict:
+    """The variance model as metadata: its name and its parameters."""
+    return {"model": "constant" if isinstance(vol, ConstantVol) else "cir", **asdict(vol)}
+
+
 def _spec_dict(spec) -> dict:
-    out = asdict(spec)
-    out["vol"] = {"model": "constant" if isinstance(spec.vol, ConstantVol) else "cir",
-                  **asdict(spec.vol)}
-    return out
+    return {**asdict(spec), "vol": _vol_dict(spec.vol)}
 
 
 def _pool_size(workers: int, count: int) -> int:
@@ -283,12 +273,12 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
 
 # --- contour ----------------------------------------------------------------
 
-def _contour_replication(spec: ContourSpec, n: int, rep: int):
+def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray,
+                         n: int, rep: int):
     cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
     scn = simulate_scenario(spec.vol, cfg)
     path = scn.path
-    ug = np.linspace(0.0, 1.0, spec.uv_grid)
     i_s = path.index_at(spec.s)
     i_t = path.index_at(spec.t)
 
@@ -310,12 +300,7 @@ def _contour_replication(spec: ContourSpec, n: int, rep: int):
     center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :], spec.level)
 
     # the interval is a point on the boundary of the unit square
-    boundary = np.zeros((spec.uv_grid, spec.uv_grid), dtype=bool)
-    boundary[0, :] = boundary[-1, :] = True
-    boundary[:, 0] = boundary[:, -1] = True
-    lo[boundary] = center[boundary]
-    hi[boundary] = center[boundary]
-    return c_true, c_hat, lo, hi
+    return c_true, c_hat, np.where(interior, lo, center), np.where(interior, hi, center)
 
 
 def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
@@ -327,11 +312,13 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
     ug = np.linspace(0.0, 1.0, spec.uv_grid)
     uu = np.repeat(ug, spec.uv_grid)
     vv = np.tile(ug, spec.uv_grid)
+    inner = (0.0 < ug) & (ug < 1.0)
+    interior = np.outer(inner, inner)
 
     tables = {}
     meta_per_n = {}
     for n in spec.n_list:
-        reps = _map_replications(partial(_contour_replication, spec, n),
+        reps = _map_replications(partial(_contour_replication, spec, ug, interior, n),
                                  spec.replications, workers)
         c_true = np.stack([r[0] for r in reps])
         c_hat = np.stack([r[1] for r in reps])
@@ -357,9 +344,6 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
             "mean_width": mean_width.ravel(),
             "n_failed": n_failed.ravel().astype(np.int64),
         }
-        interior = np.ones((spec.uv_grid, spec.uv_grid), dtype=bool)
-        interior[0, :] = interior[-1, :] = False
-        interior[:, 0] = interior[:, -1] = False
         meta_per_n[str(n)] = {
             "mean_interior_width": float(np.nanmean(mean_width[interior]))
             if interior.any() else math.nan,

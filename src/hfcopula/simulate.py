@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import SampledPath, _is_int, _is_real
+from .estimators import SampledPath, _check_pos_int, _check_real, _is_int
 
 __all__ = [
     "CirParams",
@@ -39,14 +39,8 @@ class CirParams:
     s0: float
 
     def __post_init__(self) -> None:
-        for name, val in (
-            ("kappa", self.kappa),
-            ("theta", self.theta),
-            ("nu", self.nu),
-            ("s0", self.s0),
-        ):
-            if not (_is_real(val) and math.isfinite(val) and val > 0.0):
-                raise ValueError(f"{name} must be a positive finite real, got {val!r}")
+        for name in ("kappa", "theta", "nu", "s0"):
+            _check_real(name, getattr(self, name), lo=0.0)
         if not 2.0 * self.kappa * self.theta > self.nu ** 2:
             raise ValueError(
                 f"Feller condition 2*kappa*theta > nu**2 violated: "
@@ -62,8 +56,7 @@ class ConstantVol:
     sigma2: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (_is_real(self.sigma2) and math.isfinite(self.sigma2) and self.sigma2 > 0.0):
-            raise ValueError(f"sigma2 must be a positive finite real, got {self.sigma2!r}")
+        _check_real("sigma2", self.sigma2, lo=0.0)
 
 
 DEFAULT_CIR = CirParams(kappa=0.5, theta=1.5, nu=1.0, s0=1.5)
@@ -79,20 +72,15 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and self.n >= 1):
-            raise ValueError(f"n must be an integer >= 1, got {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
-        if not (_is_real(self.horizon) and math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be a positive finite real, got {self.horizon!r}")
+        object.__setattr__(self, "n", _check_pos_int("n", self.n))
+        _check_real("horizon", self.horizon, lo=0.0)
         intervals = self.n * self.horizon
         if abs(intervals - round(intervals)) > 1e-9 or round(intervals) < 1:
             raise ValueError(
                 f"n*horizon must be a positive integer number of intervals, "
                 f"got {intervals!r}"
             )
-        if not (_is_int(self.substeps) and self.substeps >= 1):
-            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps!r}")
-        object.__setattr__(self, "substeps", int(self.substeps))
+        object.__setattr__(self, "substeps", _check_pos_int("substeps", self.substeps))
         if not (_is_int(self.seed) and 0 <= self.seed < 2 ** 64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))

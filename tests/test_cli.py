@@ -285,19 +285,31 @@ def test_bad_spec_value_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command, key", [
-    ("qq", "replications"), ("qq", "n"), ("qq", "horizon"), ("qq", "constant_vol"),
-    ("qq", "t"), ("contour", "uv_grid"), ("rho", "uv_grid"), ("simulate", "n"),
-    ("simulate", "horizon"),
-])
-def test_boolean_config_value_exits_2(tmp_path, capsys, command, key):
-    cfg = tmp_path / "c.json"
-    small = {"n": 200, "replications": 2, "uv_grid": 5}
-    cfg.write_text(json.dumps({"command": command, **small, key: True}), encoding="utf-8")
-    out = tmp_path / "o"
-    assert main(["--config", str(cfg), "--out", str(out)]) == 2
-    assert "True" in capsys.readouterr().err
-    assert not out.exists()
+# a config value of the wrong type for its flag: booleans where numbers go,
+# numbers or booleans where paths go, and null anywhere
+WRONG_TYPES = [
+    ("qq", "replications", True), ("qq", "n", True), ("qq", "horizon", True),
+    ("qq", "constant_vol", True), ("qq", "t", True), ("contour", "uv_grid", True),
+    ("rho", "uv_grid", True), ("simulate", "n", True), ("simulate", "horizon", True),
+    ("simulate", "out", 5), ("qq", "out", 5), ("qq", "out", True),
+    ("estimate", "input", 5), ("estimate", "queries", 7), ("estimate", "level", "x"),
+    ("contour", "n_list", 5), ("qq", "n", None),
+]
+
+
+@pytest.mark.parametrize("command, key, value", WRONG_TYPES)
+def test_wrong_type_config_value_exits_2(tmp_path, monkeypatch, capsys, command, key, value):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "path.csv").write_text("time,X\n0.0,0.0\n0.5,0.1\n1.0,0.3\n", encoding="utf-8")
+    if command == "estimate":
+        small = {"input": "path.csv", "s": 0.3, "t": 0.7, "u": 0.5, "v": 0.5}
+    else:
+        small = {"n": 200, "replications": 2, "uv_grid": 5}
+    cfg = {"command": command, "out": "o", **small, key: value}
+    (tmp_path / "c.json").write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["--config", "c.json"]) == 2
+    assert repr(value) in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "path.csv"]
 
 
 def test_boolean_query_value_exits_2(tmp_path, capsys):
@@ -311,3 +323,35 @@ def test_boolean_query_value_exits_2(tmp_path, capsys):
     assert main(["--config", str(cfg), "--out", str(out)]) == 2
     assert "True" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.fixture
+def command_args(tmp_path):
+    """Small argv for each command; estimate reads a simulated path and a query file."""
+    sim = tmp_path / "sim"
+    assert main(["--command", "simulate", "--n", "100", "--constant-vol", "1.0",
+                 "--out", str(sim)]) == 0
+    queries = tmp_path / "q.csv"
+    queries.write_text("s,t,u,v\n0.3,0.7,0.5,0.5\n0.2,0.8,0.0,0.4\n", encoding="utf-8")
+    return {
+        "simulate": ["--n", "50"],
+        "estimate": ["--input", str(sim / "scenario.csv"), "--queries", str(queries)],
+        "contour": ["--n", "100", "--uv-grid", "5", "--replications", "2"],
+        "qq": ["--n", "200", "--replications", "3", "--constant-vol", "1.0"],
+        "rho": ["--n-list", "100,400", "--replications", "2", "--uv-grid", "5"],
+    }
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "contour", "qq", "rho"])
+def test_every_command_writes_its_listed_files(tmp_path, command_args, command):
+    args = ["--command", command, *command_args[command]]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    meta_name = f"{command}_meta.json"
+    meta = json.loads((a / meta_name).read_text(encoding="utf-8"))
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted([*meta["files"], meta_name])
+    assert names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
