@@ -67,6 +67,12 @@ def _check_spec(spec) -> None:
     _check_real("horizon", spec.horizon, lo=0.0)
     _check_pos_int("replications", spec.replications)
     _check_pos_int("seed", spec.seed, minimum=0)
+    # replication i runs at seed + i, so every such seed must fit SimConfig
+    if spec.seed + spec.replications - 1 >= 2 ** 64:
+        raise ValueError(
+            f"seed + replications - 1 must be below 2**64 (replication i runs at "
+            f"seed + i), got seed={spec.seed!r}, replications={spec.replications!r}"
+        )
     _check_pos_int("substeps", spec.substeps)
     if not isinstance(spec.vol, (CirParams, ConstantVol)):
         raise ValueError(f"vol must be CirParams or ConstantVol, got {spec.vol!r}")

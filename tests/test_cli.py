@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from hfcopula import cli
+from hfcopula import cli, experiments
 from hfcopula.cli import main
 from hfcopula.estimators import CopulaQuery, SampledPath, confidence_interval
 
@@ -277,6 +277,42 @@ def test_workers_below_one_exits_2(tmp_path, command):
     out = tmp_path / "o"
     assert main(["--command", command, "--workers", "0", "--out", str(out)]) == 2
     assert not out.exists()
+
+
+# argv of each Monte Carlo command with two replications, small enough to run
+_TWO_REPLICATIONS = {
+    "qq": ["--command", "qq", "--n", "100", "--replications", "2", "--constant-vol", "1.0"],
+    "qq-workers": ["--command", "qq", "--n", "100", "--replications", "2",
+                   "--constant-vol", "1.0", "--workers", "2"],
+    "rho": ["--command", "rho", "--n-list", "100", "--replications", "2", "--uv-grid", "5",
+            "--constant-vol", "1.0"],
+    "contour": ["--command", "contour", "--n-list", "100", "--replications", "2",
+                "--uv-grid", "5", "--constant-vol", "1.0"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_REPLICATIONS))
+def test_seed_past_last_replication_exits_2_before_simulating(tmp_path, monkeypatch,
+                                                              capsys, case):
+    """Replication i runs at seed + i, so the whole range is checked up front."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "simulate_scenario", no_simulation)
+    out = tmp_path / "o"
+    assert main([*_TWO_REPLICATIONS[case], "--seed", str(2 ** 64 - 1), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "seed + replications - 1 must be below 2**64" in err
+    assert f"seed={2 ** 64 - 1}" in err and "replications=2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", sorted(_TWO_REPLICATIONS))
+def test_largest_seed_for_replications_is_accepted(tmp_path, case):
+    out = tmp_path / "o"
+    assert main([*_TWO_REPLICATIONS[case], "--seed", str(2 ** 64 - 2), "--out", str(out)]) == 0
+    meta = json.loads((out / f"{case.split('-')[0]}_meta.json").read_text(encoding="utf-8"))
+    assert meta["spec"]["seed"] == 2 ** 64 - 2
 
 
 def test_bad_spec_value_exits_2(tmp_path, capsys):

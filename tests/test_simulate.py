@@ -7,6 +7,7 @@ import pytest
 
 from hfcopula.estimators import quarticity, realized_variation
 from hfcopula.simulate import (
+    DEFAULT_CIR,
     CirParams,
     ConstantVol,
     SimConfig,
@@ -82,6 +83,62 @@ def test_cir_path_length_and_start():
                           cfg, np.random.default_rng(1))
     assert sigma2.shape == (25 * 4 * 2 + 1,)
     assert sigma2[0] == 1.5
+
+
+def _reference_cir(params, cfg, rng):
+    """The exact transition step by step on numpy scalars: the oracle for simulate_cir."""
+    total = cfg.intervals * cfg.substeps
+    dt = 1.0 / (cfg.n * cfg.substeps)
+    decay = math.exp(-params.kappa * dt)
+    c = params.nu ** 2 * (1.0 - decay) / (4.0 * params.kappa)
+    df = 4.0 * params.kappa * params.theta / params.nu ** 2
+    sqc = math.sqrt(c)
+    z = rng.standard_normal(total)
+    y = rng.chisquare(df - 1.0, total)
+    out = np.empty(total + 1)
+    out[0] = x = params.s0
+    for k in range(total):
+        root = sqc * z[k] + math.sqrt(x * decay)
+        x = root * root + c * y[k]
+        out[k + 1] = x
+    return out
+
+
+# the paper's parameters, small noise, a start next to 0, and df - 1 just above 1
+ORACLE_PARAMS = [
+    DEFAULT_CIR,
+    CirParams(kappa=0.5, theta=1.5, nu=1e-8, s0=0.5),
+    CirParams(kappa=0.5, theta=1.5, nu=1.0, s0=1e-8),
+    CirParams(kappa=0.5, theta=1.0, nu=0.9999995, s0=1.0),
+]
+# (n, horizon, substeps)
+ORACLE_LAYOUTS = [(10_000, 1, 10), (100, 2, 3), (7, 3, 11), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS)
+@pytest.mark.parametrize("n, horizon, substeps", ORACLE_LAYOUTS)
+def test_cir_matches_reference_recursion(params, n, horizon, substeps):
+    for seed in (0, 7, 2 ** 64 - 1):
+        cfg = SimConfig(n=n, horizon=horizon, substeps=substeps, seed=seed)
+        got = simulate_cir(params, cfg, derive_streams(seed)[0])
+        want = _reference_cir(params, cfg, derive_streams(seed)[0])
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, horizon, substeps", ORACLE_LAYOUTS)
+def test_cir_leaves_variance_stream_after_its_two_draws(n, horizon, substeps):
+    """simulate_cir draws all normals, then all chi-squares, and nothing else."""
+    seed = 11
+    cfg = SimConfig(n=n, horizon=horizon, substeps=substeps, seed=seed)
+    total = cfg.intervals * substeps
+    df = 4.0 * DEFAULT_CIR.kappa * DEFAULT_CIR.theta / DEFAULT_CIR.nu ** 2
+    rng = derive_streams(seed)[0]
+    simulate_cir(DEFAULT_CIR, cfg, rng)
+    fresh = derive_streams(seed)[0]
+    fresh.standard_normal(total)
+    fresh.chisquare(df - 1.0, total)
+    assert rng.random() == fresh.random()
 
 
 def test_constant_vol_brownian_moments():
