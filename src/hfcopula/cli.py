@@ -59,10 +59,6 @@ _COMMANDS = ("simulate", "estimate", "contour", "qq", "rho")
 _FLAG_ONLY = {"help", "version", "config", "verbose"}
 
 
-class ConfigError(ValueError):
-    """Bad config file or flag combination."""
-
-
 class InputDataError(Exception):
     """Input data file exists but cannot be parsed as expected."""
 
@@ -126,16 +122,16 @@ def _load_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
@@ -146,23 +142,23 @@ def _resolve(args: argparse.Namespace) -> dict:
         for key, val in data.items():
             is_type, what = _TYPE_CHECKS[_CONFIG_TYPES[key]]
             if not (is_type(val) or key == "n_list" and isinstance(val, list)):
-                raise ConfigError(f"config value {key!r} must be {what}, got {val!r}")
+                raise ValueError(f"config value {key!r} must be {what}, got {val!r}")
         cfg.update(data)
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if "command" not in cfg:
-        raise ConfigError("no command given: use --command or a config file")
+        raise ValueError("no command given: use --command or a config file")
     if cfg["command"] not in _COMMANDS:
-        raise ConfigError(f"unknown command {cfg['command']!r}")
+        raise ValueError(f"unknown command {cfg['command']!r}")
     if cfg["workers"] < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {cfg['workers']!r}")
+        raise ValueError(f"workers must be an integer >= 1, got {cfg['workers']!r}")
     if isinstance(cfg.get("n_list"), str):
         try:
             cfg["n_list"] = tuple(int(x) for x in cfg["n_list"].split(",") if x.strip())
         except ValueError as exc:
-            raise ConfigError(f"bad n_list: {cfg['n_list']!r}") from exc
+            raise ValueError(f"bad n_list: {cfg['n_list']!r}") from exc
     return cfg
 
 
@@ -240,7 +236,7 @@ def _read_queries(cfg: dict) -> list[tuple[CopulaQuery, float]]:
         return out
     missing = [k for k in ("s", "t", "u", "v") if k not in cfg]
     if missing:
-        raise ConfigError(
+        raise ValueError(
             f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
         )
     return [(CopulaQuery(s=cfg["s"], t=cfg["t"], u=cfg["u"], v=cfg["v"]), cfg["level"])]
@@ -252,7 +248,7 @@ _ESTIMATE_COLUMNS = ("s", "t", "u", "v", "level", "c_hat", "v_hat",
 
 def cmd_estimate(cfg: dict) -> tuple[ExperimentReport, str]:
     if "input" not in cfg:
-        raise ConfigError("estimate needs --input pointing at a path CSV")
+        raise ValueError("estimate needs --input pointing at a path CSV")
     path = _read_path_csv(cfg["input"])
     queries = _read_queries(cfg)
     for q, lvl in queries:
@@ -318,9 +314,6 @@ def main(argv=None) -> int:
         print(f"{command}: {summary}")
         print(f"{command}: wrote {len(paths)} files to {cfg['out']}")
         return 0
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NearDiagonalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .kernel import DIAG_REL_TOL, NearDiagonalError, grad_psi, psi
+from .kernel import grad_psi, psi
 
 __all__ = [
     "SampledPath",
@@ -24,7 +24,6 @@ __all__ = [
     "quarticity",
     "copula_estimate",
     "variance_estimate",
-    "confidence_interval",
     "boundary_aware_interval",
     "variance_quadratic_form",
     "interval_bounds",
@@ -32,6 +31,11 @@ __all__ = [
 
 # half-ulp guard so that t = k/n computed in floating point truncates to k
 _INDEX_GUARD = 1e-9
+
+
+def _grid_index(n: int, t: float) -> int:
+    """floor(n*t), guarding against floating-point misrounding."""
+    return int(math.floor(n * t + _INDEX_GUARD))
 
 
 # bool is an int subclass, but neither True nor False is a count or a real
@@ -76,7 +80,7 @@ class SampledPath:
             raise ValueError("values must all be finite")
         object.__setattr__(self, "n", _check_pos_int("n", self.n))
         _check_real("horizon", self.horizon, lo=0.0)
-        expected = int(math.floor(self.n * self.horizon + _INDEX_GUARD)) + 1
+        expected = _grid_index(self.n, self.horizon) + 1
         if vals.size != expected:
             raise ValueError(
                 f"values has length {vals.size}, expected floor(n*horizon)+1 = {expected}"
@@ -93,7 +97,7 @@ class SampledPath:
             raise ValueError(f"time must be a finite real, got {t!r}")
         if t < 0.0 or t > self.horizon + _INDEX_GUARD / self.n:
             raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
-        return min(int(math.floor(self.n * t + _INDEX_GUARD)), self.values.size - 1)
+        return min(_grid_index(self.n, t), self.values.size - 1)
 
 
 @dataclass(frozen=True)
@@ -167,22 +171,15 @@ def variance_estimate(path: SampledPath, q: CopulaQuery) -> float:
 
     The kernel gradient is taken at the realized-variation pair and paired
     with quarticities: the d/dt component with the larger time's
-    quarticity. Raises NearDiagonalError via grad_psi when the realized
-    variations (nearly) coincide.
+    quarticity.  Its errors come from :func:`~hfcopula.kernel.grad_psi`:
+    ValueError unless u and v lie strictly inside (0, 1), NearDiagonalError
+    when the realized variations (nearly) coincide, and ValueError when the
+    smaller one is zero.
     """
-    if not (0.0 < q.u < 1.0 and 0.0 < q.v < 1.0):
-        raise ValueError(
-            f"variance requires u, v strictly inside (0, 1), got u={q.u!r}, v={q.v!r}"
-        )
     t_lo = min(q.s, q.t)
     t_hi = max(q.s, q.t)
     rv_lo = realized_variation(path, t_lo)
     rv_hi = realized_variation(path, t_hi)
-    if rv_hi - rv_lo <= DIAG_REL_TOL * rv_hi:
-        raise NearDiagonalError(
-            "realized variations nearly coincide: "
-            f"[X]_s={rv_lo!r}, [X]_t={rv_hi!r}"
-        )
     g_t, g_s = grad_psi(rv_lo, rv_hi, q.u, q.v)
     q_lo = quarticity(path, t_lo)
     q_hi = quarticity(path, t_hi)
@@ -204,24 +201,17 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level: float):
     return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
 
 
-def confidence_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:
-    """Plug-in estimate with a studentized confidence interval at ``level``."""
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
-    c_hat = copula_estimate(path, q)
-    v_hat = variance_estimate(path, q)
-    center, lo, hi = interval_bounds(c_hat, v_hat, path.n, q.u, q.v, level)
-    return CopulaEstimate(c_hat=center, v_hat=v_hat, ci_lo=lo, ci_hi=hi, level=level)
-
-
 def boundary_aware_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:
-    """Like :func:`confidence_interval`, but degenerate on the unit-square boundary.
+    """Plug-in estimate with a studentized confidence interval at ``level``.
 
     At u or v in {0, 1} the copula value is forced by the axioms and the
     estimator has no error there, so the interval collapses to a point and
-    no gradient is needed.
+    no gradient is needed.  A ``level`` outside (0, 1) raises ValueError
+    from :class:`CopulaEstimate`.
     """
+    c_hat = copula_estimate(path, q)
     if q.u in (0.0, 1.0) or q.v in (0.0, 1.0):
-        c_hat = copula_estimate(path, q)
         return CopulaEstimate(c_hat=c_hat, v_hat=0.0, ci_lo=c_hat, ci_hi=c_hat, level=level)
-    return confidence_interval(path, q, level)
+    v_hat = variance_estimate(path, q)
+    center, lo, hi = interval_bounds(c_hat, v_hat, path.n, q.u, q.v, level)
+    return CopulaEstimate(c_hat=center, v_hat=v_hat, ci_lo=lo, ci_hi=hi, level=level)

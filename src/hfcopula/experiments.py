@@ -26,6 +26,7 @@ from .estimators import (
     CopulaQuery,
     _check_pos_int,
     _check_real,
+    _grid_index,
     copula_estimate,
     interval_bounds,
     quarticity,
@@ -59,10 +60,11 @@ __all__ = [
 
 
 def _check_spec(spec) -> None:
-    """Checks of the fields every spec has, and of ``n_list``, ``uv_grid``, ``s``, ``t``.
+    """Checks of the fields every spec has, and of those only some specs have.
 
-    The last four are checked where present.  Runs first in each spec, so
-    that the spec's own checks may rely on a valid ``horizon``.
+    ``n_list`` or ``n``, ``uv_grid``, ``s`` and ``t`` are checked where
+    present.  Runs first in each spec, so that the spec's own checks may
+    rely on a valid ``horizon``.
     """
     _check_real("horizon", spec.horizon, lo=0.0)
     _check_pos_int("replications", spec.replications)
@@ -89,6 +91,14 @@ def _check_spec(spec) -> None:
                 f"need 0 < s < t <= horizon, got s={spec.s!r}, t={spec.t!r}, "
                 f"horizon={spec.horizon!r}"
             )
+        # the gradient needs 0 < [X]_s < [X]_t, so s and t must fall in
+        # distinct grid cells past the first, at every sampling frequency
+        for n in spec.n_list if hasattr(spec, "n_list") else (_check_pos_int("n", spec.n),):
+            if not 1 <= _grid_index(n, s) < _grid_index(n, t):
+                raise ValueError(
+                    f"need 1 <= floor(n*s) < floor(n*t), so that 0 < [X]_s < [X]_t, "
+                    f"got n={n!r}, s={spec.s!r}, t={spec.t!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -130,7 +140,6 @@ class QqSpec:
         _check_spec(self)
         _check_real("u", self.u, lo=0.0, hi=1.0)
         _check_real("v", self.v, lo=0.0, hi=1.0)
-        _check_pos_int("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -295,9 +304,9 @@ def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray
 
     try:
         g_t, g_s = grad_psi_grid(rv_s, rv_t, ug, ug)
-    except ValueError:
-        # realized variations coincide (or degenerate to zero): no interval
-        # exists at interior cells for this replication
+    except NearDiagonalError:
+        # realized variations coincide: no interval exists at interior cells
+        # for this replication
         v_grid = np.full(c_hat.shape, np.nan)
     else:
         q_lo = quarticity(path, min(spec.s, spec.t))
@@ -350,11 +359,12 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
             "mean_width": mean_width.ravel(),
             "n_failed": n_failed.ravel().astype(np.int64),
         }
+        # NaN when no interior cell has an interval in any replication
         meta_per_n[str(n)] = {
             "mean_interior_width": float(np.nanmean(mean_width[interior]))
-            if interior.any() else math.nan,
+            if n_valid[interior].any() else math.nan,
             "mean_interior_coverage": float(np.nanmean(coverage[interior]))
-            if interior.any() else math.nan,
+            if n_valid[interior].any() else math.nan,
             "failed_cells": int(n_failed.sum()),
         }
 

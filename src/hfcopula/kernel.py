@@ -85,13 +85,20 @@ def psi(s: float, t: float, u, v):
 
 
 def _check_gradient_times(s: float, t: float) -> None:
-    if not 0.0 < s < t < math.inf:
-        raise ValueError(f"gradient requires 0 < s < t strictly, got s={s!r}, t={t!r}")
+    """The gradient's domain 0 < s < t, outside the diagonal band ``DIAG_REL_TOL``.
+
+    Coinciding clock values (a flat path's (0, 0) included) raise
+    NearDiagonalError; any other point outside the domain, ValueError.
+    """
+    if not 0.0 <= s <= t < math.inf:
+        raise ValueError(f"gradient requires 0 <= s <= t < inf, got s={s!r}, t={t!r}")
     if t - s <= DIAG_REL_TOL * t:
         raise NearDiagonalError(
-            f"times too close for the gradient: t - s = {t - s!r} <= "
-            f"{DIAG_REL_TOL!r} * t"
+            f"clock values coincide, so the gradient is undefined: s={s!r}, t={t!r}, "
+            f"t - s <= {DIAG_REL_TOL!r} * t"
         )
+    if s == 0.0:
+        raise ValueError(f"gradient requires s > 0, got s={s!r}, t={t!r}")
 
 
 def grad_psi(s: float, t: float, u, v):
@@ -102,11 +109,12 @@ def grad_psi(s: float, t: float, u, v):
     d/ds = phi2 r / (2s), where phi2 is the bivariate normal density at
     (h, k; r).  Its exponent is written as
     ((h - k)^2 + 2hk(1 - r)) / (1 - r^2) with 1 - r^2 = (t - s)/t, so that
-    nothing cancels near the diagonal.
+    nothing cancels near the diagonal.  Raises ValueError unless u and v lie
+    strictly inside (0, 1), then as :func:`_check_gradient_times` for s, t.
     """
-    _check_gradient_times(s, t)
     h = ndtri(_unit_values("u", u, strict=True))
     k = ndtri(_unit_values("v", v, strict=True))
+    _check_gradient_times(s, t)
     r = math.sqrt(s / t)
     one_m_r2 = (t - s) / t
     expo = ((h - k) ** 2 + 2.0 * h * k * (one_m_r2 / (1.0 + r))) / one_m_r2

@@ -97,7 +97,6 @@ class SimulatedScenario:
     path: SampledPath
     true_T: np.ndarray
     true_Q: np.ndarray
-    sigma2: np.ndarray
 
     def __post_init__(self) -> None:
         npts = self.path.values.size
@@ -188,4 +187,4 @@ def simulate_scenario(
     true_q[1:] = np.cumsum((s2_left * s2_left).reshape(intervals, m).sum(axis=1)) / denom
 
     path = SampledPath(values=x, n=config.n, horizon=config.horizon)
-    return SimulatedScenario(path=path, true_T=true_t, true_Q=true_q, sigma2=sigma2)
+    return SimulatedScenario(path=path, true_T=true_t, true_Q=true_q)

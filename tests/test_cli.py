@@ -10,7 +10,7 @@ import pytest
 
 from hfcopula import cli, experiments
 from hfcopula.cli import main
-from hfcopula.estimators import CopulaQuery, SampledPath, confidence_interval
+from hfcopula.estimators import CopulaQuery, SampledPath, boundary_aware_interval
 
 
 def _read_csv(path):
@@ -71,7 +71,7 @@ def test_estimate_round_trip(tmp_path):
     sim_rows = _read_csv(sim / "scenario.csv")
     values = np.array([float(r["X"]) for r in sim_rows])
     path = SampledPath(values=values, n=400, horizon=1.0)
-    ref = confidence_interval(path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
+    ref = boundary_aware_interval(path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
     assert float(row["c_hat"]) == ref.c_hat
     assert float(row["v_hat"]) == ref.v_hat
     assert float(row["ci_lo"]) == ref.ci_lo
@@ -150,6 +150,7 @@ def test_estimate_missing_input_file(tmp_path):
                  "--s", "0.3", "--t", "0.7", "--u", "0.5", "--v", "0.5",
                  "--out", str(tmp_path / "o")])
     assert code == 4
+    assert not (tmp_path / "o").exists()
 
 
 def test_estimate_out_of_range_query(tmp_path, capsys):
@@ -172,6 +173,33 @@ def test_estimate_near_diagonal_failure(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "coincide" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimate_flat_path_is_near_diagonal(tmp_path, capsys):
+    """A flat path's realized variations are (0, 0): they coincide (exit 3),
+    although the smaller one is also zero."""
+    flat = tmp_path / "flat.csv"
+    flat.write_text("time,X\n0.0,0.0\n0.25,0.0\n0.5,0.0\n0.75,0.0\n1.0,0.0\n",
+                    encoding="utf-8")
+    code = main(["--command", "estimate", "--input", str(flat),
+                 "--s", "0.25", "--t", "0.75", "--u", "0.5", "--v", "0.5",
+                 "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "coincide" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_estimate_zero_realized_variation_exits_2(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["--command", "simulate", "--n", "100", "--out", str(sim)])
+    # s below the first grid time: [X]_s = 0 < [X]_t
+    code = main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
+                 "--s", "0.001", "--t", "0.7", "--u", "0.5", "--v", "0.5",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "s > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):
@@ -319,6 +347,36 @@ def test_bad_spec_value_exits_2(tmp_path, capsys):
     code = main(["--command", "qq", "--u", "0.0", "--out", str(tmp_path / "o")])
     assert code == 2
     assert not (tmp_path / "o").exists()
+
+
+# s and t whose grid indices floor(n*s), floor(n*t) leave no gradient: s in
+# the first cell (qq), and s, t in the same cell (contour)
+_BAD_LAYOUTS = {
+    "qq": ["--command", "qq", "--n", "100", "--s", "0.005", "--replications", "2",
+           "--constant-vol", "1"],
+    "contour": ["--command", "contour", "--n", "10", "--s", "0.31", "--t", "0.35",
+                "--uv-grid", "5", "--constant-vol", "1"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_LAYOUTS))
+def test_clock_layout_exits_2_before_simulating(tmp_path, monkeypatch, capsys, case):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr(experiments, "simulate_scenario", no_simulation)
+    out = tmp_path / "o"
+    assert main([*_BAD_LAYOUTS[case], "--out", str(out)]) == 2
+    assert "need 1 <= floor(n*s) < floor(n*t)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_first_grid_time_is_accepted_as_s(tmp_path):
+    out = tmp_path / "o"
+    assert main(["--command", "qq", "--n", "100", "--s", "0.01", "--t", "0.02",
+                 "--replications", "2", "--constant-vol", "1", "--out", str(out)]) == 0
+    meta = json.loads((out / "qq_meta.json").read_text(encoding="utf-8"))
+    assert meta["kept"] == 2
 
 
 # a config value of the wrong type for its flag: booleans where numbers go,

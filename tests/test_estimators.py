@@ -11,7 +11,6 @@ from hfcopula.estimators import (
     CopulaQuery,
     SampledPath,
     boundary_aware_interval,
-    confidence_interval,
     copula_estimate,
     interval_bounds,
     quarticity,
@@ -176,9 +175,9 @@ def test_interval_degenerate_variance():
     assert lo == center == hi == 0.42
 
 
-def test_confidence_interval_fields():
+def test_boundary_aware_interval_interior_fields():
     scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=2000, seed=5))
-    est = confidence_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
+    est = boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
     assert isinstance(est, CopulaEstimate)
     assert 0.0 <= est.ci_lo <= est.c_hat <= est.ci_hi <= 1.0
     assert est.v_hat > 0.0
@@ -193,6 +192,9 @@ def test_boundary_aware_interval():
     est = boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.4, v=1.0), 0.95)
     assert est.c_hat == est.ci_lo == est.ci_hi
     assert est.c_hat == 0.4  # v = 1 pins the copula to u
+    for u in (0.0, 0.7):
+        with pytest.raises(ValueError, match="level must lie in"):
+            boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=u, v=0.3), 1.5)
 
 
 def test_query_validation():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from hfcopula import experiments
 from hfcopula.estimators import realized_variation
 from hfcopula.experiments import (
     ContourSpec,
@@ -25,7 +26,7 @@ from hfcopula.experiments import (
     write_csv,
     write_report,
 )
-from hfcopula.kernel import psi_grid
+from hfcopula.kernel import NearDiagonalError, psi_grid
 from hfcopula.simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 
@@ -155,6 +156,38 @@ def test_contour_coverage_smoke():
                                   vol=ConstantVol(1.0)))
     cov = rep.metadata["per_n"]["10000"]["mean_interior_coverage"]
     assert 0.90 <= cov <= 0.99
+
+
+def test_contour_propagates_plain_value_errors(monkeypatch):
+    """Only coinciding realized variations become failed cells."""
+    def broken(*args, **kwargs):
+        raise ValueError("not a diagonal failure")
+
+    monkeypatch.setattr(experiments, "grad_psi_grid", broken)
+    with pytest.raises(ValueError, match="not a diagonal failure"):
+        run_contour(ContourSpec(n_list=(100,), uv_grid=5, vol=ConstantVol(1.0)))
+
+
+def test_contour_near_diagonal_replication_fails_interior_cells(monkeypatch):
+    def near_diagonal(*args, **kwargs):
+        raise NearDiagonalError("clock values coincide")
+
+    monkeypatch.setattr(experiments, "grad_psi_grid", near_diagonal)
+    rep = run_contour(ContourSpec(n_list=(100,), uv_grid=5, vol=ConstantVol(1.0)))
+    failed = rep.tables["contour_n100"]["n_failed"].reshape(5, 5)
+    assert np.all(failed[1:-1, 1:-1] == 1)
+    assert failed.sum() == 9
+    per_n = rep.metadata["per_n"]["100"]
+    assert math.isnan(per_n["mean_interior_width"]) and per_n["failed_cells"] == 9
+
+
+def test_spec_rejects_clock_layout_without_gradient():
+    with pytest.raises(ValueError, match="floor"):
+        QqSpec(n=100, s=0.005)  # floor(n*s) = 0, so [X]_s = 0
+    with pytest.raises(ValueError, match="n=10"):
+        ContourSpec(n_list=(100, 10), s=0.31, t=0.35)  # one grid cell at n = 10
+    QqSpec(n=100, s=0.01, t=0.02)  # s = 1/n and t = 2/n land on distinct cells
+    ContourSpec(n_list=(10,), s=0.1, t=0.2)
 
 
 def test_contour_rerun_bit_identical():

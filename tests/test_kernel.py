@@ -175,6 +175,20 @@ def test_gradient_near_diagonal_error():
         grad_psi(1.0, 1.0 + 1e-13, 0.5, 0.5)
 
 
+def test_gradient_coinciding_times_are_near_diagonal():
+    """Equal clock values, a flat path's (0, 0) included, are the diagonal;
+    a zero s below a positive t is a plain domain error."""
+    for s, t in ((0.0, 0.0), (0.7, 0.7), (1e-300, 1e-300)):
+        with pytest.raises(NearDiagonalError, match="coincide") as info:
+            grad_psi(s, t, 0.5, 0.5)
+        assert f"s={s!r}, t={t!r}" in str(info.value)
+    with pytest.raises(ValueError) as info:
+        grad_psi(0.0, 1.0, 0.5, 0.5)
+    assert not isinstance(info.value, NearDiagonalError)
+    with pytest.raises(NearDiagonalError):
+        grad_psi_grid(0.0, 0.0, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         psi(-0.1, 1.0, 0.5, 0.5)

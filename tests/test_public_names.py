@@ -20,3 +20,11 @@ def test_all_names_resolve(module):
 def test_every_module_is_checked():
     found = {p.stem for p in Path(hfcopula.__file__).parent.glob("*.py")}
     assert found - {"__init__", "__main__"} == set(MODULES)
+
+
+def test_package_exports_union_of_library_modules():
+    library = [importlib.import_module(f"hfcopula.{m}") for m in MODULES if m != "cli"]
+    union = {name for mod in library for name in mod.__all__}
+    assert set(hfcopula.__all__) == union | {"__version__"}
+    for name in ("DIAG_REL_TOL", "clock_angle", "sup_difference"):
+        assert getattr(hfcopula, name) is getattr(hfcopula.kernel, name)

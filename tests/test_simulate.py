@@ -167,14 +167,16 @@ def test_scenario_shapes_and_monotonicity():
     assert scn.true_T[0] == 0.0 and scn.true_Q[0] == 0.0
     assert np.all(np.diff(scn.true_T) >= 0.0)
     assert np.all(np.diff(scn.true_Q) >= 0.0)
-    assert scn.sigma2.shape == (40 * 10 * 2 + 1,)
+    sigma2 = simulate_cir(CirParams(0.5, 1.5, 1.0, 1.5), SimConfig(n=40, horizon=2.0, seed=3))
+    assert sigma2.shape == (40 * 10 * 2 + 1,)
 
 
 def test_true_increments_bounded_by_subgrid_extremes():
-    scn = simulate_scenario(CirParams(0.5, 1.5, 1.0, 1.5), SimConfig(n=50, seed=7))
+    params, cfg = CirParams(0.5, 1.5, 1.0, 1.5), SimConfig(n=50, seed=7)
+    scn = simulate_scenario(params, cfg)
     m = 10
     dt = 1.0 / (50 * m)
-    sub = scn.sigma2[:-1].reshape(50, m)
+    sub = simulate_cir(params, cfg)[:-1].reshape(50, m)
     assert np.all(np.diff(scn.true_T) <= sub.max(axis=1) * m * dt + 1e-15)
     assert np.all(np.diff(scn.true_Q) <= (sub ** 2).max(axis=1) * m * dt + 1e-15)
 
@@ -185,7 +187,6 @@ def test_seed_determinism():
     assert np.array_equal(a.path.values, b.path.values)
     assert np.array_equal(a.true_T, b.true_T)
     assert np.array_equal(a.true_Q, b.true_Q)
-    assert np.array_equal(a.sigma2, b.sigma2)
 
 
 def test_driver_stream_independent_of_volatility():
@@ -198,19 +199,21 @@ def test_driver_stream_independent_of_volatility():
         scn = simulate_scenario(vol, cfg)
         _, drv = derive_streams(seed)
         xi = drv.standard_normal(n * m)
-        dx = np.sqrt(scn.sigma2[:-1]) * xi / math.sqrt(n * m)
+        dx = np.sqrt(simulate_cir(vol, cfg)[:-1]) * xi / math.sqrt(n * m)
         x = np.concatenate([[0.0], np.cumsum(dx.reshape(n, m).sum(axis=1))])
         np.testing.assert_array_equal(scn.path.values, x)
 
 
 def test_vol_stream_is_stream_zero():
+    """The true clock is the left-Riemann sum of the variance path drawn from stream 0."""
     n, m, seed = 20, 5, 23
     cfg = SimConfig(n=n, substeps=m, seed=seed)
     params = CirParams(0.5, 1.5, 1.0, 1.5)
     scn = simulate_scenario(params, cfg)
     vol_rng, _ = derive_streams(seed)
     sigma2 = simulate_cir(params, cfg, vol_rng)
-    np.testing.assert_array_equal(scn.sigma2, sigma2)
+    true_t = np.cumsum(sigma2[:-1].reshape(n, m).sum(axis=1)) / (n * m)
+    np.testing.assert_array_equal(scn.true_T, np.concatenate([[0.0], true_t]))
 
 
 def test_realized_variation_tracks_true_time_change():
