@@ -186,28 +186,40 @@ def cmd_simulate(cfg: dict) -> tuple[ExperimentReport, str]:
 
 
 def _read_columns(path: str, needed: tuple[str, ...],
-                  optional: tuple[str, ...] = ()) -> dict[str, list[float]]:
-    """The columns ``needed``, and those of ``optional`` present, of a CSV file as floats."""
+                  optional: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """The columns ``needed``, and those of ``optional`` present, of a CSV file.
+
+    The header names the columns, in any order; other columns are ignored.
+    Every later line is a data row of comma-separated numbers, which may be
+    quoted: a blank line or a ``#`` comment is a malformed row.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
-    rows = list(csv.reader(text.splitlines()))
-    if not rows:
+    lines = text.splitlines()
+    if not lines:
         raise InputDataError(f"{path}: empty file")
-    header = [h.strip() for h in rows[0]]
+    header = [h.strip() for h in next(csv.reader(lines[:1]))]
     if any(c not in header for c in needed):
         raise InputDataError(f"{path}: header must contain columns {','.join(needed)}")
     index = {c: header.index(c) for c in (*needed, *optional) if c in header}
+    body = lines[1:]
+    # loadtxt would skip a blank line
+    if "" in body:
+        raise InputDataError(f"{path}: malformed data row: line {body.index('') + 2} is blank")
     try:
-        return {c: [float(r[i]) for r in rows[1:]] for c, i in index.items()}
-    except (ValueError, IndexError) as exc:
+        data = (np.loadtxt(body, delimiter=",", comments=None, quotechar='"',
+                           usecols=tuple(index.values()), ndmin=2)
+                if body else np.empty((0, len(index))))
+    except ValueError as exc:
         raise InputDataError(f"{path}: malformed data row: {exc}") from exc
+    return dict(zip(index, data.T))
 
 
 def _read_path_csv(path: str) -> SampledPath:
     cols = _read_columns(path, ("time", "X"))
-    times, values = np.array(cols["time"]), np.array(cols["X"])
+    times, values = cols["time"], cols["X"]
     if times.size < 2:
         raise InputDataError(f"{path}: need at least 2 observations")
 
@@ -226,7 +238,8 @@ def _read_path_csv(path: str) -> SampledPath:
 
 def _read_queries(cfg: dict) -> list[tuple[CopulaQuery, float]]:
     if "queries" in cfg:
-        cols = _read_columns(cfg["queries"], ("s", "t", "u", "v"), optional=("level",))
+        cols = {c: col.tolist() for c, col in
+                _read_columns(cfg["queries"], ("s", "t", "u", "v"), optional=("level",)).items()}
         levels = cols.get("level", [cfg["level"]] * len(cols["s"]))
         # domain violations are validation errors, not data errors
         out = [(CopulaQuery(s, t, u, v), lvl) for s, t, u, v, lvl

@@ -82,6 +82,11 @@ def _check_spec(spec) -> None:
         object.__setattr__(spec, "n_list", tuple(_check_pos_int("n", n) for n in spec.n_list))
         if not spec.n_list:
             raise ValueError("n_list must not be empty")
+    n_values = spec.n_list if hasattr(spec, "n_list") else (_check_pos_int("n", spec.n),)
+    # SimConfig owns the sampling layout (n * horizon whole intervals): build
+    # one per n now, so that no frequency's replications run before another fails
+    for n in n_values:
+        SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps, seed=spec.seed)
     if hasattr(spec, "uv_grid") and _check_pos_int("uv_grid", spec.uv_grid) < 2:
         raise ValueError(f"uv_grid must be >= 2, got {spec.uv_grid!r}")
     if hasattr(spec, "s"):
@@ -93,7 +98,7 @@ def _check_spec(spec) -> None:
             )
         # the gradient needs 0 < [X]_s < [X]_t, so s and t must fall in
         # distinct grid cells past the first, at every sampling frequency
-        for n in spec.n_list if hasattr(spec, "n_list") else (_check_pos_int("n", spec.n),):
+        for n in n_values:
             if not 1 <= _grid_index(n, s) < _grid_index(n, t):
                 raise ValueError(
                     f"need 1 <= floor(n*s) < floor(n*t), so that 0 < [X]_s < [X]_t, "
@@ -482,19 +487,26 @@ def ks_normal_distance(sorted_sample: np.ndarray) -> float:
 
 # --- emission ----------------------------------------------------------------
 
-def _format_cell(val) -> str:
-    if isinstance(val, (np.integer, int)):
-        return str(int(val))
-    return repr(float(val))
+def _format_column(col) -> list[str]:
+    """The cells of one column: integers via str, anything else as float64 via repr."""
+    col = np.asarray(col)
+    if col.dtype.kind in "iu":
+        return list(map(str, col.tolist()))
+    a = np.ascontiguousarray(col, dtype=np.float64)
+    # one repr per distinct bit pattern, not per distinct value: -0.0 == 0.0
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
-    """UTF-8 CSV with a header row; floats via repr for lossless round-trips."""
-    names = list(columns)
-    arrays = [columns[c] for c in names]
-    lines = [",".join(names)]
-    for row in zip(*arrays):
-        lines.append(",".join(_format_cell(v) for v in row))
+    """UTF-8 CSV with a header row; floats via repr for lossless round-trips.
+
+    Each column is formatted once, as a whole, and each distinct float in it
+    is formatted once.
+    """
+    cells = [_format_column(col) for col in columns.values()]
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -145,6 +145,76 @@ def test_estimate_malformed_csv(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+_PATH_ROWS = [("0.0", "0.0"), ("0.25", "0.1"), ("0.5", "-0.05"), ("0.75", "0.2"), ("1.0", "0.15")]
+
+
+def _path_text(rows=_PATH_ROWS, header="time,X", sep="\n", end="\n"):
+    return sep.join([header, *(",".join(r) for r in rows)]) + end
+
+
+# path files by name: their text, the exit code of estimate on them, and a
+# fragment of the error for those that fail
+_PATH_CORPUS = {
+    "plain": (_path_text(), 0, None),
+    "no_trailing_newline": (_path_text(end=""), 0, None),
+    "crlf": (_path_text(sep="\r\n", end="\r\n"), 0, None),
+    "exponents": (_path_text([("0.000e+00", "0.000E+00"), ("2.500e-01", "1.000E-01"),
+                              ("5.000E-01", "-5.000e-02"), ("7.5e-1", "2E-1"),
+                              ("1.0E0", "1.5e-01")]), 0, None),
+    "spaces": (_path_text([(" 0.0", "0.0 "), (" 0.25 ", "\t0.1"), ("0.5  ", " -0.05"),
+                           ("0.75", "0.2"), ("1.0", " 0.15 ")], header=" time , X "), 0, None),
+    "extra_column": (_path_text([(*r, note) for r, note in
+                                 zip(_PATH_ROWS, ["a", "", '"b,c"', "7", "x y"])],
+                                header="time,X,note"), 0, None),
+    "reordered": (_path_text([(x, t) for t, x in _PATH_ROWS], header="X,time"), 0, None),
+    "quoted_number": (_path_text([('"0.0"', "0.0"), ("0.25", '"0.1"'), *_PATH_ROWS[2:]]),
+                      0, None),
+    "blank_line_mid_file": (_path_text([*_PATH_ROWS[:2], ("",), *_PATH_ROWS[2:]]), 4,
+                            "malformed"),
+    "trailing_blank_line": (_path_text() + "\n", 4, "malformed"),
+    "only_a_blank_line": ("time,X\n\n", 4, "malformed"),
+    "short_row": (_path_text([*_PATH_ROWS[:2], ("0.5",), *_PATH_ROWS[3:]]), 4, "malformed"),
+    "comment_row": (_path_text([*_PATH_ROWS[:2], ("#x",), *_PATH_ROWS[2:]]), 4, "malformed"),
+    "header_only": ("time,X\n", 4, "need at least 2 observations"),
+    "bom": ("\ufeff" + _path_text(), 4, "header must contain columns time,X"),
+    # Python's float() reads digit-group underscores; the numpy parser does not
+    "underscore_digits": (_path_text([*_PATH_ROWS[:4], ("1_0.0", "0.15")]), 4, "malformed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PATH_CORPUS))
+def test_path_file_corpus(tmp_path, capsys, case):
+    text, code, fragment = _PATH_CORPUS[case]
+    path = tmp_path / "path.csv"
+    path.write_bytes(text.encode("utf-8"))
+    out = tmp_path / "o"
+    assert main(["--command", "estimate", "--input", str(path), "--s", "0.3", "--t", "0.7",
+                 "--u", "0.5", "--v", "0.5", "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert fragment in err
+        assert not out.exists()
+        return
+    # every cell parses to the double float() gives it
+    rows = list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+    header = [h.strip() for h in rows[0]]
+    cols = cli._read_columns(str(path), ("time", "X"))
+    for name in ("time", "X"):
+        expected = [float(r[header.index(name)]) for r in rows[1:]]
+        assert np.array_equal(cols[name], expected)
+
+
+def test_query_file_with_header_only_exits_4(tmp_path, capsys):
+    sim = tmp_path / "sim"
+    main(["--command", "simulate", "--n", "100", "--out", str(sim)])
+    qfile = tmp_path / "q.csv"
+    qfile.write_text("s,t,u,v,level\n", encoding="utf-8")
+    assert main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
+                 "--queries", str(qfile), "--out", str(tmp_path / "o")]) == 4
+    assert "no query rows" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_estimate_missing_input_file(tmp_path):
     code = main(["--command", "estimate", "--input", str(tmp_path / "nope.csv"),
                  "--s", "0.3", "--t", "0.7", "--u", "0.5", "--v", "0.5",
@@ -356,6 +426,13 @@ _BAD_LAYOUTS = {
            "--constant-vol", "1"],
     "contour": ["--command", "contour", "--n", "10", "--s", "0.31", "--t", "0.35",
                 "--uv-grid", "5", "--constant-vol", "1"],
+    # n * horizon is not a whole number of intervals (for the last n of a list)
+    "rho_intervals": ["--command", "rho", "--n-list", "100,5", "--horizon", "0.5",
+                      "--replications", "3", "--uv-grid", "5", "--constant-vol", "1",
+                      "--tau", "0.1", "--st-step", "0.1"],
+    "contour_intervals": ["--command", "contour", "--n-list", "100,5", "--horizon", "0.5",
+                          "--s", "0.2", "--t", "0.4"],
+    "qq_intervals": ["--command", "qq", "--n", "5", "--horizon", "0.9"],
 }
 
 
@@ -367,7 +444,9 @@ def test_clock_layout_exits_2_before_simulating(tmp_path, monkeypatch, capsys, c
     monkeypatch.setattr(experiments, "simulate_scenario", no_simulation)
     out = tmp_path / "o"
     assert main([*_BAD_LAYOUTS[case], "--out", str(out)]) == 2
-    assert "need 1 <= floor(n*s) < floor(n*t)" in capsys.readouterr().err
+    message = ("n*horizon must be a positive integer number of intervals"
+               if case.endswith("_intervals") else "need 1 <= floor(n*s) < floor(n*t)")
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

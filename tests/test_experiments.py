@@ -308,6 +308,47 @@ def test_write_csv_roundtrip(tmp_path):
         assert int(k) == cols["k"][i]
 
 
+def _format_cell(val) -> str:
+    """The cell-by-cell formatter that write_csv replaced, kept as its oracle."""
+    if isinstance(val, (np.integer, int)):
+        return str(int(val))
+    return repr(float(val))
+
+
+def _write_csv_by_cell(path, columns):
+    lines = [",".join(columns)]
+    for row in zip(*columns.values()):
+        lines.append(",".join(_format_cell(v) for v in row))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_RNG = np.random.default_rng(12)
+_WRITE_CSV_TABLES = {
+    "special_floats": {"x": np.array([-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf,
+                                      5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1.0, -2.5])},
+    "repeated": {"x": _RNG.permutation(np.repeat([0.1, -0.0, 0.0, 2.5, math.nan], 9))},
+    "normals": {"x": _RNG.standard_normal(10_000)},
+    "int64_past_2_53": {"k": np.array([2 ** 53 + 1, -(2 ** 62) - 3, 0, 2 ** 63 - 1])},
+    "int32": {"k": np.array([-5, 7, 2 ** 31 - 1, 7], dtype=np.int32)},
+    "uint64": {"k": np.array([2 ** 64 - 1, 0, 2 ** 63 + 5, 1], dtype=np.uint64)},
+    "float32": {"x": np.array([0.1, 1 / 3, -0.0, math.nan, 3e38], dtype=np.float32)},
+    "bool": {"b": np.array([True, False, True])},
+    "strided": {"x": _RNG.standard_normal(30)[::3], "k": np.arange(20)[1::2]},
+    "mixed": {"u": np.linspace(0.0, 1.0, 11), "n_failed": np.arange(11) % 3,
+              "c": np.where(np.arange(11) % 4 == 0, math.nan, np.linspace(-1.0, 1.0, 11))},
+    "no_rows": {"rank": np.arange(1, 1), "statistic": np.array([]),
+                "normal_quantile": np.array([])},
+}
+
+
+@pytest.mark.parametrize("table", sorted(_WRITE_CSV_TABLES))
+def test_write_csv_matches_cell_by_cell_formatter(tmp_path, table):
+    cols = _WRITE_CSV_TABLES[table]
+    write_csv(tmp_path / "columnar.csv", cols)
+    _write_csv_by_cell(tmp_path / "by_cell.csv", cols)
+    assert (tmp_path / "columnar.csv").read_bytes() == (tmp_path / "by_cell.csv").read_bytes()
+
+
 def test_write_report_files(tmp_path):
     rep = run_qq(QqSpec(n=200, replications=3, vol=ConstantVol(1.0)))
     paths = write_report(rep, tmp_path / "out")
