@@ -228,10 +228,10 @@ def _read_path_csv(path: str) -> SampledPath:
     if mean_dt <= 0.0 or np.any(np.abs(dt - mean_dt) > 1e-9 * abs(mean_dt)):
         raise ValueError(f"{path}: non-uniform grid (relative tolerance 1e-9)")
     if abs(times[0]) > 1e-9 * mean_dt:
-        raise ValueError(f"{path}: grid must start at time 0, got {times[0]!r}")
+        raise ValueError(f"{path}: grid must start at time 0, got {float(times[0])!r}")
     n = round(1.0 / mean_dt)
     if n < 1 or abs(n * mean_dt - 1.0) > 1e-9:
-        raise ValueError(f"{path}: grid spacing {mean_dt!r} is not 1/n for integer n")
+        raise ValueError(f"{path}: grid spacing {float(mean_dt)!r} is not 1/n for integer n")
     horizon = (times.size - 1) / n
     return SampledPath(values=values, n=n, horizon=horizon)
 

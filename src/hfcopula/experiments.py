@@ -217,7 +217,8 @@ def _map_replications(fn, count: int, workers: int) -> list:
 def _qq_replication(spec: QqSpec, rep: int) -> tuple[float, float, float, str]:
     cfg = SimConfig(n=spec.n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
-    scn = simulate_scenario(spec.vol, cfg)
+    # nothing past t is read, and the spec has s < t <= horizon
+    scn = simulate_scenario(spec.vol, cfg, through=spec.t)
     path = scn.path
     i_s = path.index_at(spec.s)
     i_t = path.index_at(spec.t)
@@ -297,7 +298,8 @@ def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray
                          n: int, rep: int):
     cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
-    scn = simulate_scenario(spec.vol, cfg)
+    # nothing past t is read, and the spec has s < t <= horizon
+    scn = simulate_scenario(spec.vol, cfg, through=spec.t)
     path = scn.path
     i_s = path.index_at(spec.s)
     i_t = path.index_at(spec.t)

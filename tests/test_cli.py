@@ -135,6 +135,21 @@ def test_estimate_non_uniform_grid(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ("time,X\n0.5,0\n1.0,1\n1.5,2\n", "grid must start at time 0, got 0.5"),
+    ("time,X\n0.0,0\n0.3,1\n0.6,2\n", "grid spacing 0.3 is not 1/n for integer n"),
+])
+def test_path_grid_errors_print_plain_numbers(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    code = main(["--command", "estimate", "--input", str(bad),
+                 "--s", "0.3", "--t", "0.7", "--u", "0.5", "--v", "0.5",
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "np." not in err
+
+
 def test_estimate_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,X\n0.0,zero\n0.5,0.1\n1.0,0.3\n", encoding="utf-8")

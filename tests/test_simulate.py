@@ -141,6 +141,63 @@ def test_cir_leaves_variance_stream_after_its_two_draws(n, horizon, substeps):
     assert rng.random() == fresh.random()
 
 
+@pytest.mark.parametrize("n, horizon, substeps", ORACLE_LAYOUTS)
+def test_variance_draws_of_fewer_steps_are_prefixes(n, horizon, substeps):
+    """numpy fills a Generator draw in order, so a shorter chi-square or normal
+    draw is the head of the longer one.  simulate_cir and simulate_scenario
+    rely on this to stop early bit for bit; if a numpy release breaks it,
+    this test names the cause."""
+    total = n * horizon * substeps
+    df = 4.0 * DEFAULT_CIR.kappa * DEFAULT_CIR.theta / DEFAULT_CIR.nu ** 2
+    for seed in (0, 7, 2 ** 64 - 1):
+        for k in sorted({0, 1, total // 3, total - 1, total}):
+            full_vol, full_drv = derive_streams(seed)
+            part_vol, part_drv = derive_streams(seed)
+            full_vol.standard_normal(total)
+            part_vol.standard_normal(total)
+            assert np.array_equal(part_vol.chisquare(df - 1.0, k),
+                                  full_vol.chisquare(df - 1.0, total)[:k])
+            assert np.array_equal(part_drv.standard_normal(k),
+                                  full_drv.standard_normal(total)[:k])
+
+
+@pytest.mark.parametrize("params", ORACLE_PARAMS + [ConstantVol(1.0)])
+@pytest.mark.parametrize("n, horizon, substeps", ORACLE_LAYOUTS)
+def test_scenario_through_is_prefix_of_full_scenario(params, n, horizon, substeps):
+    # the first grid time, a grid time, a time between grid times with n*t
+    # not whole, and the horizon
+    throughs = [1 / n, max(1, n * horizon // 2) / n, (n * horizon - 0.37) / n, horizon]
+    for seed in (0, 7, 2 ** 64 - 1):
+        cfg = SimConfig(n=n, horizon=horizon, substeps=substeps, seed=seed)
+        full = simulate_scenario(params, cfg)
+        if isinstance(params, CirParams):
+            full_cir = _reference_cir(params, cfg, derive_streams(seed)[0])
+        for through in throughs:
+            k = math.floor(n * through + 1e-9)
+            part = simulate_scenario(params, cfg, through=through)
+            assert part.path.horizon == through
+            assert part.path.index_at(through) == k
+            assert np.array_equal(part.path.values, full.path.values[:k + 1])
+            assert np.array_equal(part.true_T, full.true_T[:k + 1])
+            assert np.array_equal(part.true_Q, full.true_Q[:k + 1])
+            if isinstance(params, CirParams):
+                steps = k * substeps
+                got = simulate_cir(params, cfg, derive_streams(seed)[0], steps=steps)
+                assert np.array_equal(got, full_cir[:steps + 1])
+
+
+@pytest.mark.parametrize("through", [0, -0.1, 1.0 + 1e-6, math.nan, True])
+def test_scenario_through_outside_horizon_rejected(through):
+    with pytest.raises(ValueError, match="through"):
+        simulate_scenario(DEFAULT_CIR, SimConfig(n=100), through=through)
+
+
+@pytest.mark.parametrize("steps", [-1, 1001, True, 2.0])
+def test_cir_steps_outside_layout_rejected(steps):
+    with pytest.raises(ValueError, match="steps"):
+        simulate_cir(DEFAULT_CIR, SimConfig(n=100), steps=steps)
+
+
 def test_constant_vol_brownian_moments():
     """sigma2 == 1 gives standard Brownian motion: realized variation at 1
     has mean 1 and variance about 2/n."""
