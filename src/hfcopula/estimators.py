@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
-from .kernel import grad_psi, psi
+from .kernel import _ndtri, grad_psi, psi
 
 __all__ = [
     "SampledPath",
@@ -192,12 +191,15 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level: float):
     Returns (center, lo, hi) where the center is c_hat clipped into the
     Frechet box (the kernel can overshoot it by its rounding).  ``c_hat``,
     ``v_hat``, ``u`` and ``v`` may be broadcastable arrays; each element
-    gets the same arithmetic as a scalar call.
+    gets the same arithmetic as a scalar call.  A ``level`` outside (0, 1)
+    raises ValueError before any quantile is taken.
     """
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1), got {level!r}")
     fre_lo = np.maximum(u + v - 1.0, 0.0)
     fre_hi = np.minimum(u, v)
     center = np.clip(c_hat, fre_lo, fre_hi)
-    half = ndtri(0.5 * (1.0 + level)) * np.sqrt(v_hat / n)
+    half = _ndtri(0.5 * (1.0 + level)) * np.sqrt(v_hat / n)
     return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
 
 
@@ -206,8 +208,8 @@ def boundary_aware_interval(path: SampledPath, q: CopulaQuery, level: float) -> 
 
     At u or v in {0, 1} the copula value is forced by the axioms and the
     estimator has no error there, so the interval collapses to a point and
-    no gradient is needed.  A ``level`` outside (0, 1) raises ValueError
-    from :class:`CopulaEstimate`.
+    no gradient is needed.  A ``level`` outside (0, 1) raises ValueError,
+    from :func:`interval_bounds` or, at the boundary, :class:`CopulaEstimate`.
     """
     c_hat = copula_estimate(path, q)
     if q.u in (0.0, 1.0) or q.v in (0.0, 1.0):

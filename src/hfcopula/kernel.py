@@ -9,15 +9,20 @@ plus an integral over the correlation, its gradient is in closed form
 its largest change over a grid from one diagonal cell.  All case
 branches (diagonal, zero times, unit-square boundary) are resolved here
 so that callers never feed invalid arguments to the normal quantile.
+
+The normal quantile and CDF come from the standard library's
+``statistics.NormalDist`` (the quantile is Wichura's AS241, within a few
+ulps), applied elementwise by ``_ndtri`` and ``_ndtr``.  Grids take the
+quantiles of their unbroadcast axes; scalars skip the array round-trip.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "DIAG_REL_TOL",
@@ -36,6 +41,29 @@ DIAG_REL_TOL = 1e-12
 
 class NearDiagonalError(ValueError):
     """Gradient requested too close to the diagonal s = t, where it blows up."""
+
+
+_STD_NORMAL = NormalDist()
+
+
+def _elementwise(fn, x):
+    """``fn`` of each element of the array ``x``; a scalar (0-d included) gives a float."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return fn(float(x))
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _ndtri(p):
+    """Standard normal quantile of ``p``, elementwise (Wichura's AS241, a few ulps).
+
+    A ``p`` outside (0, 1) raises ``statistics.StatisticsError``, a ValueError.
+    """
+    return _elementwise(_STD_NORMAL.inv_cdf, p)
+
+
+def _ndtr(x):
+    """Standard normal CDF of ``x``, elementwise."""
+    return _elementwise(_STD_NORMAL.cdf, x)
 
 
 def _unit_values(name: str, val, strict: bool = False) -> np.ndarray:
@@ -67,15 +95,27 @@ def psi(s: float, t: float, u, v):
     value, lower tail included; rounding adds a few ulps.
     """
     theta = clock_angle(s, t)
-    u_arr, v_arr = np.broadcast_arrays(_unit_values("u", u), _unit_values("v", v))
+    u_arr = _unit_values("u", u)
+    v_arr = _unit_values("v", v)
     if theta == 0.5 * math.pi:
         return _scalar_or_array(np.minimum(u_arr, v_arr), u, v)
     # u*v is already exact on the boundary of the unit square
     out = np.array(u_arr * v_arr)
-    inner = (u_arr > 0.0) & (u_arr < 1.0) & (v_arr > 0.0) & (v_arr < 1.0)
+    u_in = (u_arr > 0.0) & (u_arr < 1.0)
+    v_in = (v_arr > 0.0) & (v_arr < 1.0)
+    inner = u_in & v_in
     if theta > 0.0 and np.any(inner):
-        h = ndtri(u_arr[inner])
-        k = ndtri(v_arr[inner])
+        if out.ndim == 0:
+            # one cell: its two quantiles straight from the standard library
+            h = np.array([_ndtri(u_arr)])
+            k = np.array([_ndtri(v_arr)])
+        else:
+            # quantiles of the unbroadcast u and v, so a grid's axis and not
+            # its cells; 1/2 stands in on the boundary, whose cells are not read
+            h, k = np.broadcast_arrays(_ndtri(np.where(u_in, u_arr, 0.5)),
+                                       _ndtri(np.where(v_in, v_arr, 0.5)))
+            h = h[inner]
+            k = k[inner]
         # every cell's value is at least its u*v, so a tolerance scaled by the
         # smallest u*v is relative; theta stops about DIAG_REL_TOL**0.5 = 1e-6
         # short of pi/2 (clock_angle), so no panel reaches the singular point
@@ -112,8 +152,8 @@ def grad_psi(s: float, t: float, u, v):
     nothing cancels near the diagonal.  Raises ValueError unless u and v lie
     strictly inside (0, 1), then as :func:`_check_gradient_times` for s, t.
     """
-    h = ndtri(_unit_values("u", u, strict=True))
-    k = ndtri(_unit_values("v", v, strict=True))
+    h = _ndtri(_unit_values("u", u, strict=True))
+    k = _ndtri(_unit_values("v", v, strict=True))
     _check_gradient_times(s, t)
     r = math.sqrt(s / t)
     one_m_r2 = (t - s) / t
@@ -287,6 +327,8 @@ def sup_difference(grid, theta0, theta1) -> np.ndarray:
     inner = g[(g > 0.0) & (g < 1.0)]
     if inner.size == 0:
         return np.zeros(half.shape)
-    c = float(np.min(ndtri(inner) ** 2))
+    # |h| grows with |p - 1/2|, so the smallest |h| sits at the point nearest 1/2
+    h_min = _ndtri(inner[np.argmin(np.abs(inner - 0.5))])
+    c = h_min * h_min
     x = (theta0 + half)[..., None] + half[..., None] * _SUP_NODES
     return np.abs(half * (np.exp(-c / (1.0 + np.sin(x))) @ _SUP_WEIGHTS)) / (2.0 * math.pi)

@@ -2,8 +2,10 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +26,30 @@ def test_console_script_help():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert "simulate" in out.stdout
+
+
+# a contour, then a one-query estimate on a simulated path, in a fresh process
+_NO_SCIPY_SCRIPT = """
+import sys
+from hfcopula.cli import main
+out = sys.argv[1]
+assert main(["--command", "contour", "--n-list", "100", "--uv-grid", "11",
+             "--replications", "1", "--out", out + "/ct"]) == 0
+assert main(["--command", "simulate", "--n", "200", "--out", out + "/sim"]) == 0
+assert main(["--command", "estimate", "--input", out + "/sim/scenario.csv",
+             "--s", "0.3", "--t", "0.7", "--u", "0.7", "--v", "0.3",
+             "--out", out + "/est"]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """scipy is a test and benchmark oracle only: no command imports it."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(tmp_path)],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
 
 
 def test_simulate_row_count(tmp_path):
