@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import _ndtri, grad_psi, psi
+from .kernel import grad_psi, ndtri, psi
 
 __all__ = [
     "SampledPath",
@@ -199,7 +199,7 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level: float):
     fre_lo = np.maximum(u + v - 1.0, 0.0)
     fre_hi = np.minimum(u, v)
     center = np.clip(c_hat, fre_lo, fre_hi)
-    half = _ndtri(0.5 * (1.0 + level)) * np.sqrt(v_hat / n)
+    half = ndtri(0.5 * (1.0 + level)) * np.sqrt(v_hat / n)
     return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
 
 

@@ -35,10 +35,10 @@ from .estimators import (
 )
 from .kernel import (
     NearDiagonalError,
-    _ndtr,
-    _ndtri,
     clock_angle,
     grad_psi_grid,
+    ndtr,
+    ndtri,
     psi,
     psi_grid,
     sup_difference,
@@ -254,7 +254,7 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
     kept = stat[ok]
     order = np.sort(kept)
     m = order.size
-    quantiles = _ndtri((np.arange(1, m + 1) - 0.5) / m)
+    quantiles = ndtri((np.arange(1, m + 1) - 0.5) / m)
     ks = ks_normal_distance(order) if m else math.nan
 
     scaled_err = np.sqrt(spec.n) * (c_hat[ok] - c_true[ok])
@@ -262,7 +262,7 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
         "near_diagonal": int(sum(r[3] == "near_diagonal" for r in rows)),
         "degenerate": int(sum(r[3] == "degenerate" for r in rows)),
     }
-    z975 = _ndtri(0.975)
+    z975 = ndtri(0.975)
     metadata = {
         "kind": "qq",
         "version": __version__,
@@ -483,7 +483,7 @@ def ks_normal_distance(sorted_sample: np.ndarray) -> float:
     m = x.size
     if m < 1:
         raise ValueError("need at least 1 sample")
-    f = _ndtr(x)
+    f = ndtr(x)
     ranks = np.arange(1, m + 1)
     return float(max(np.max(ranks / m - f), np.max(f - (ranks - 1) / m)))
 

@@ -12,8 +12,9 @@ so that callers never feed invalid arguments to the normal quantile.
 
 The normal quantile and CDF come from the standard library's
 ``statistics.NormalDist`` (the quantile is Wichura's AS241, within a few
-ulps), applied elementwise by ``_ndtri`` and ``_ndtr``.  Grids take the
-quantiles of their unbroadcast axes; scalars skip the array round-trip.
+ulps), applied elementwise by ``ndtri`` and ``ndtr``.  Grids take the
+quantiles of their unbroadcast axes; a scalar reaches the standard
+library as a float.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def _elementwise(fn, x):
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def _ndtri(p):
+# the package's shared normal quantile and CDF, kept out of __all__
+def ndtri(p):
     """Standard normal quantile of ``p``, elementwise (Wichura's AS241, a few ulps).
 
     A ``p`` outside (0, 1) raises ``statistics.StatisticsError``, a ValueError.
@@ -61,7 +63,7 @@ def _ndtri(p):
     return _elementwise(_STD_NORMAL.inv_cdf, p)
 
 
-def _ndtr(x):
+def ndtr(x):
     """Standard normal CDF of ``x``, elementwise."""
     return _elementwise(_STD_NORMAL.cdf, x)
 
@@ -105,17 +107,12 @@ def psi(s: float, t: float, u, v):
     v_in = (v_arr > 0.0) & (v_arr < 1.0)
     inner = u_in & v_in
     if theta > 0.0 and np.any(inner):
-        if out.ndim == 0:
-            # one cell: its two quantiles straight from the standard library
-            h = np.array([_ndtri(u_arr)])
-            k = np.array([_ndtri(v_arr)])
-        else:
-            # quantiles of the unbroadcast u and v, so a grid's axis and not
-            # its cells; 1/2 stands in on the boundary, whose cells are not read
-            h, k = np.broadcast_arrays(_ndtri(np.where(u_in, u_arr, 0.5)),
-                                       _ndtri(np.where(v_in, v_arr, 0.5)))
-            h = h[inner]
-            k = k[inner]
+        # quantiles of the unbroadcast u and v, so a grid's axis and not its
+        # cells; 1/2 stands in on the boundary, whose cells are not read
+        h, k = np.broadcast_arrays(ndtri(np.where(u_in, u_arr, 0.5)),
+                                   ndtri(np.where(v_in, v_arr, 0.5)))
+        h = h[inner]
+        k = k[inner]
         # every cell's value is at least its u*v, so a tolerance scaled by the
         # smallest u*v is relative; theta stops about DIAG_REL_TOL**0.5 = 1e-6
         # short of pi/2 (clock_angle), so no panel reaches the singular point
@@ -152,8 +149,8 @@ def grad_psi(s: float, t: float, u, v):
     nothing cancels near the diagonal.  Raises ValueError unless u and v lie
     strictly inside (0, 1), then as :func:`_check_gradient_times` for s, t.
     """
-    h = _ndtri(_unit_values("u", u, strict=True))
-    k = _ndtri(_unit_values("v", v, strict=True))
+    h = ndtri(_unit_values("u", u, strict=True))
+    k = ndtri(_unit_values("v", v, strict=True))
     _check_gradient_times(s, t)
     r = math.sqrt(s / t)
     one_m_r2 = (t - s) / t
@@ -327,8 +324,6 @@ def sup_difference(grid, theta0, theta1) -> np.ndarray:
     inner = g[(g > 0.0) & (g < 1.0)]
     if inner.size == 0:
         return np.zeros(half.shape)
-    # |h| grows with |p - 1/2|, so the smallest |h| sits at the point nearest 1/2
-    h_min = _ndtri(inner[np.argmin(np.abs(inner - 0.5))])
-    c = h_min * h_min
+    c = float(np.min(ndtri(inner) ** 2))
     x = (theta0 + half)[..., None] + half[..., None] * _SUP_NODES
     return np.abs(half * (np.exp(-c / (1.0 + np.sin(x))) @ _SUP_WEIGHTS)) / (2.0 * math.pi)

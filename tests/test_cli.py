@@ -28,13 +28,17 @@ def test_console_script_help():
     assert "simulate" in out.stdout
 
 
-# a contour, then a one-query estimate on a simulated path, in a fresh process
+# every command on small inputs, in a fresh process
 _NO_SCIPY_SCRIPT = """
 import sys
 from hfcopula.cli import main
 out = sys.argv[1]
 assert main(["--command", "contour", "--n-list", "100", "--uv-grid", "11",
              "--replications", "1", "--out", out + "/ct"]) == 0
+assert main(["--command", "qq", "--n", "100", "--replications", "2",
+             "--out", out + "/qq"]) == 0
+assert main(["--command", "rho", "--n-list", "100", "--replications", "1",
+             "--uv-grid", "11", "--out", out + "/rho"]) == 0
 assert main(["--command", "simulate", "--n", "200", "--out", out + "/sim"]) == 0
 assert main(["--command", "estimate", "--input", out + "/sim/scenario.csv",
              "--s", "0.3", "--t", "0.7", "--u", "0.7", "--v", "0.3",

@@ -4,16 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtr, ndtri
+from scipy import special
 from scipy.stats import multivariate_normal
 
 from hfcopula.kernel import (
     NearDiagonalError,
-    _ndtr,
-    _ndtri,
     clock_angle,
     grad_psi,
     grad_psi_grid,
+    ndtr,
+    ndtri,
     psi,
     psi_grid,
     sup_difference,
@@ -99,21 +99,21 @@ def test_normal_quantile_and_cdf_match_scipy():
         10.0 ** rng.uniform(-300.0, -2.0, 10_000),
         1.0 - 10.0 ** rng.uniform(-15.0, -2.0, 10_000),
     ])
-    ref = ndtri(p)
-    got = _ndtri(p)
+    ref = special.ndtri(p)
+    got = ndtri(p)
     assert got.shape == p.shape
     assert np.all(np.abs(got - ref) <= 2e-15 * np.abs(ref))
     x = np.concatenate([ref, np.linspace(-40.0, 40.0, 1001)])
-    assert np.max(np.abs(_ndtr(x) - ndtr(x))) <= 1e-15
+    assert np.max(np.abs(ndtr(x) - special.ndtr(x))) <= 1e-15
     # scalars stay scalars, and an array keeps its shape
-    assert isinstance(_ndtri(0.975), float) and isinstance(_ndtr(1.96), float)
-    assert _ndtri(0.975) == _ndtri(np.array([0.975]))[0]
-    assert _ndtri(p[:100].reshape(4, 25)).shape == (4, 25)
+    assert isinstance(ndtri(0.975), float) and isinstance(ndtr(1.96), float)
+    assert ndtri(0.975) == ndtri(np.array([0.975]))[0]
+    assert ndtri(p[:100].reshape(4, 25)).shape == (4, 25)
     for bad in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            _ndtri(bad)
+            ndtri(bad)
         with pytest.raises(ValueError):
-            _ndtri(np.array([0.5, bad]))
+            ndtri(np.array([0.5, bad]))
 
 
 def test_diagonal_continuity():
@@ -240,7 +240,7 @@ def test_grid_matches_scalar_route():
     pairs = [(0.3, 0.7), (1.0, 2.0), (0.05, 1.8), (0.9, 1.0)]
     for s, t in pairs + [after for _, after in CLOCK_STEPS]:
         grid = psi_grid(s, t, ug, vg)
-        ref = _bvn_cdf(ndtri(ug[iu.ravel()]), ndtri(vg[iv.ravel()]), s, t)
+        ref = _bvn_cdf(special.ndtri(ug[iu.ravel()]), special.ndtri(vg[iv.ravel()]), s, t)
         np.testing.assert_allclose(grid[1:-1, 1:-1].ravel(), ref, rtol=0.0, atol=1e-8)
         np.testing.assert_array_equal(grid[0, :], 0.0)
         np.testing.assert_array_equal(grid[:, 0], 0.0)
@@ -279,7 +279,7 @@ def test_grad_grid_matches_scalar_route():
                 if u in (0.0, 1.0) or v in (0.0, 1.0):
                     assert math.isnan(d_t[i, j]) and math.isnan(d_s[i, j])
                     continue
-                phi2 = dens.pdf([ndtri(u), ndtri(v)])
+                phi2 = dens.pdf([special.ndtri(u), special.ndtri(v)])
                 assert d_t[i, j] == pytest.approx(-phi2 * r / (2.0 * t), abs=1e-8)
                 assert d_s[i, j] == pytest.approx(phi2 * r / (2.0 * s), abs=1e-8)
                 assert (d_t[i, j], d_s[i, j]) == grad_psi(s, t, float(u), float(v))
@@ -334,7 +334,7 @@ def _bvn_cdf(h, k, s, t):
     lo, hi = min(s, t), max(s, t)
     r = math.sqrt(lo / hi)
     if r == 1.0:
-        return np.minimum(ndtr(h), ndtr(k))
+        return np.minimum(special.ndtr(h), special.ndtr(k))
     dist = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, r], [r, 1.0]])
     return dist.cdf(np.column_stack([h, k]))
 
@@ -346,7 +346,7 @@ def test_sup_difference_matches_bivariate_normal(before, after):
     theta0, theta1 = clock_angle(*before), clock_angle(*after)
     for size in (3, 4, 20, 21):
         ug = np.linspace(0.0, 1.0, size)
-        h = ndtri(ug[1:-1])
+        h = special.ndtri(ug[1:-1])
         hh, kk = (a.ravel() for a in np.meshgrid(h, h, indexing="ij"))
         ref = np.max(np.abs(_bvn_cdf(hh, kk, *after) - _bvn_cdf(hh, kk, *before)))
         got = sup_difference(ug, theta0, theta1)
