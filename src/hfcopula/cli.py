@@ -26,14 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import (
-    CopulaQuery,
-    SampledPath,
-    _is_int,
-    _is_real,
-    boundary_aware_interval,
-    realized_variation,
-)
+from .estimators import CopulaQuery, SampledPath, _is_int, _is_real, estimate_columns
 from .experiments import (
     ContourSpec,
     ExperimentReport,
@@ -45,7 +38,9 @@ from .experiments import (
     run_rho,
     write_report,
 )
-# bound here only for bench/tracing.py, which wraps cli.write_csv by name
+# bound here only for bench/tracing.py, which wraps cli.write_csv and
+# cli.boundary_aware_interval by name
+from .estimators import boundary_aware_interval  # noqa: F401
 from .experiments import write_csv  # noqa: F401
 from .kernel import NearDiagonalError
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
@@ -236,23 +231,27 @@ def _read_path_csv(path: str) -> SampledPath:
     return SampledPath(values=values, n=n, horizon=horizon)
 
 
-def _read_queries(cfg: dict) -> list[tuple[CopulaQuery, float]]:
+_QUERY_COLUMNS = ("s", "t", "u", "v")
+
+
+def _read_queries(cfg: dict) -> dict[str, np.ndarray]:
+    """The query columns s, t, u, v and level, each row checked as a CopulaQuery."""
     if "queries" in cfg:
-        cols = {c: col.tolist() for c, col in
-                _read_columns(cfg["queries"], ("s", "t", "u", "v"), optional=("level",)).items()}
-        levels = cols.get("level", [cfg["level"]] * len(cols["s"]))
-        # domain violations are validation errors, not data errors
-        out = [(CopulaQuery(s, t, u, v), lvl) for s, t, u, v, lvl
-               in zip(cols["s"], cols["t"], cols["u"], cols["v"], levels)]
-        if not out:
+        cols = _read_columns(cfg["queries"], _QUERY_COLUMNS, optional=("level",))
+        if not cols["s"].size:
             raise InputDataError(f"{cfg['queries']}: no query rows")
-        return out
-    missing = [k for k in ("s", "t", "u", "v") if k not in cfg]
-    if missing:
-        raise ValueError(
-            f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
-        )
-    return [(CopulaQuery(s=cfg["s"], t=cfg["t"], u=cfg["u"], v=cfg["v"]), cfg["level"])]
+        cols.setdefault("level", np.full(cols["s"].size, cfg["level"]))
+    else:
+        missing = [k for k in _QUERY_COLUMNS if k not in cfg]
+        if missing:
+            raise ValueError(
+                f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
+            )
+        cols = {c: np.array([cfg[c]]) for c in (*_QUERY_COLUMNS, "level")}
+    # domain violations are validation errors, not data errors
+    for row in zip(*(cols[c].tolist() for c in _QUERY_COLUMNS)):
+        CopulaQuery(*row)
+    return cols
 
 
 _ESTIMATE_COLUMNS = ("s", "t", "u", "v", "level", "c_hat", "v_hat",
@@ -264,23 +263,19 @@ def cmd_estimate(cfg: dict) -> tuple[ExperimentReport, str]:
         raise ValueError("estimate needs --input pointing at a path CSV")
     path = _read_path_csv(cfg["input"])
     queries = _read_queries(cfg)
-    for q, lvl in queries:
+    for s, t, lvl in zip(*(queries[c].tolist() for c in ("s", "t", "level"))):
         if not 0.0 < lvl < 1.0:
             raise ValueError(f"level must lie in (0, 1), got {lvl!r}")
-        if q.s > path.horizon or q.t > path.horizon:
-            raise ValueError(
-                f"query ({q.s!r}, {q.t!r}) outside the observed horizon {path.horizon!r}"
-            )
+        if s > path.horizon or t > path.horizon:
+            raise ValueError(f"query ({s!r}, {t!r}) outside the observed horizon {path.horizon!r}")
 
-    rows = []
-    for q, lvl in queries:
-        est = boundary_aware_interval(path, q, lvl)
-        rows.append((q.s, q.t, q.u, q.v, lvl, est.c_hat, est.v_hat, est.ci_lo, est.ci_hi,
-                     realized_variation(path, q.s), realized_variation(path, q.t)))
-    estimates = {name: np.array(col) for name, col in zip(_ESTIMATE_COLUMNS, zip(*rows))}
+    est = estimate_columns(path, *(queries[c] for c in (*_QUERY_COLUMNS, "level")))
+    estimates = {name: queries[name] if name in queries else est[name]
+                 for name in _ESTIMATE_COLUMNS}
+    rows = queries["s"].size
     meta = {"command": "estimate", "version": __version__, "input": cfg["input"],
-            "n": path.n, "horizon": path.horizon, "queries": len(queries)}
-    return ExperimentReport("estimate", {"estimates": estimates}, meta), f"rows={len(rows)}"
+            "n": path.n, "horizon": path.horizon, "queries": rows}
+    return ExperimentReport("estimate", {"estimates": estimates}, meta), f"rows={rows}"
 
 
 # one line per n of a contour or rho run, filled from its metadata entry for n

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
@@ -208,6 +207,9 @@ def _map_replications(fn, count: int, workers: int) -> list:
     size = _pool_size(workers, count)
     if size <= 1:
         return [fn(i) for i in range(count)]
+    # imported here, so that a single-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, count // (size * 4))
     with ProcessPoolExecutor(max_workers=size) as ex:
         return list(ex.map(fn, range(count), chunksize=chunk))

@@ -78,16 +78,27 @@ def _unit_values(name: str, val, strict: bool = False) -> np.ndarray:
     return arr
 
 
-def _scalar_or_array(out: np.ndarray, u, v):
-    """A float when ``u`` and ``v`` are both scalars, else the array."""
-    return float(out) if np.ndim(u) == 0 and np.ndim(v) == 0 else out
+def _scalar_or_array(out):
+    """A float when every argument was a scalar (``out`` is 0-d), else the array."""
+    return out if np.ndim(out) else float(out)
 
 
-def psi(s: float, t: float, u, v):
+def _clock_angles(s, t) -> np.ndarray:
+    """:func:`clock_angle` of each element of the broadcast ``s`` and ``t``; 0-d for scalars.
+
+    The angles are taken one element at a time, in order, so the first
+    invalid pair raises, and each angle has the bits of a scalar call.
+    """
+    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    return np.fromiter(map(clock_angle, s_arr.ravel().tolist(), t_arr.ravel().tolist()),
+                       float, s_arr.size).reshape(s_arr.shape)
+
+
+def psi(s, t, u, v):
     """Copula kernel value at clock values ``s``, ``t`` and unit-square points ``(u, v)``.
 
-    ``u`` and ``v`` are floats or broadcastable arrays; two floats give a
-    float.  Symmetric in (s, t).  Equals 0 where u or v is 0, u where v is
+    All four arguments are floats or broadcastable arrays; four floats give
+    a float.  Symmetric in (s, t).  Equals 0 where u or v is 0, u where v is
     1 and v where u is 1; min(u, v) on the diagonal (within
     ``DIAG_REL_TOL`` relative distance) and u*v when either clock value is
     zero.  Elsewhere it is u*v plus the integral over the correlation from
@@ -96,29 +107,29 @@ def psi(s: float, t: float, u, v):
     call (for u*v down to 1e-286), so its error is at most 1e-14 of each
     value, lower tail included; rounding adds a few ulps.
     """
-    theta = clock_angle(s, t)
+    theta = _clock_angles(s, t)
     u_arr = _unit_values("u", u)
     v_arr = _unit_values("v", v)
-    if theta == 0.5 * math.pi:
-        return _scalar_or_array(np.minimum(u_arr, v_arr), u, v)
+    diag = theta == 0.5 * math.pi
     # u*v is already exact on the boundary of the unit square
-    out = np.array(u_arr * v_arr)
+    out = np.array(np.where(diag, np.minimum(u_arr, v_arr), u_arr * v_arr))
     u_in = (u_arr > 0.0) & (u_arr < 1.0)
     v_in = (v_arr > 0.0) & (v_arr < 1.0)
-    inner = u_in & v_in
-    if theta > 0.0 and np.any(inner):
+    inner = u_in & v_in & (theta > 0.0) & ~diag
+    if np.any(inner):
         # quantiles of the unbroadcast u and v, so a grid's axis and not its
         # cells; 1/2 stands in on the boundary, whose cells are not read
-        h, k = np.broadcast_arrays(ndtri(np.where(u_in, u_arr, 0.5)),
-                                   ndtri(np.where(v_in, v_arr, 0.5)))
+        h, k, th = np.broadcast_arrays(ndtri(np.where(u_in, u_arr, 0.5)),
+                                       ndtri(np.where(v_in, v_arr, 0.5)), theta)
         h = h[inner]
         k = k[inner]
         # every cell's value is at least its u*v, so a tolerance scaled by the
         # smallest u*v is relative; theta stops about DIAG_REL_TOL**0.5 = 1e-6
         # short of pi/2 (clock_angle), so no panel reaches the singular point
         tol = max(_PSI_TOL * float(np.min(out[inner])), _TOL_FLOOR)
-        out[inner] += _angle_integral((h - k) ** 2, h * k, theta, tol)
-    return _scalar_or_array(out, u, v)
+        out[inner] += _angle_integral((h - k) ** 2, h * k,
+                                      th[inner] if theta.ndim else float(theta), tol)
+    return _scalar_or_array(out)
 
 
 def _check_gradient_times(s: float, t: float) -> None:
@@ -138,27 +149,30 @@ def _check_gradient_times(s: float, t: float) -> None:
         raise ValueError(f"gradient requires s > 0, got s={s!r}, t={t!r}")
 
 
-def grad_psi(s: float, t: float, u, v):
+def grad_psi(s, t, u, v):
     """Temporal gradient (d/dt, d/ds) of the kernel, for 0 < s < t and interior u, v.
 
-    ``u`` and ``v`` are floats or broadcastable arrays, as for :func:`psi`.
-    With r = sqrt(s/t), Plackett's identity gives d/dt = -phi2 r / (2t) and
-    d/ds = phi2 r / (2s), where phi2 is the bivariate normal density at
-    (h, k; r).  Its exponent is written as
+    All four arguments are floats or broadcastable arrays, as for
+    :func:`psi`.  With r = sqrt(s/t), Plackett's identity gives
+    d/dt = -phi2 r / (2t) and d/ds = phi2 r / (2s), where phi2 is the
+    bivariate normal density at (h, k; r).  Its exponent is written as
     ((h - k)^2 + 2hk(1 - r)) / (1 - r^2) with 1 - r^2 = (t - s)/t, so that
     nothing cancels near the diagonal.  Raises ValueError unless u and v lie
-    strictly inside (0, 1), then as :func:`_check_gradient_times` for s, t.
+    strictly inside (0, 1), then as :func:`_check_gradient_times` for the
+    first (s, t) pair, in order, outside the domain.
     """
     h = ndtri(_unit_values("u", u, strict=True))
     k = ndtri(_unit_values("v", v, strict=True))
-    _check_gradient_times(s, t)
-    r = math.sqrt(s / t)
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    for s_i, t_i in zip(s.ravel().tolist(), t.ravel().tolist()):
+        _check_gradient_times(s_i, t_i)
+    r = np.sqrt(s / t)
     one_m_r2 = (t - s) / t
     expo = ((h - k) ** 2 + 2.0 * h * k * (one_m_r2 / (1.0 + r))) / one_m_r2
-    phi2 = np.exp(-0.5 * expo) / (2.0 * math.pi * math.sqrt(one_m_r2))
+    phi2 = np.exp(-0.5 * expo) / (2.0 * math.pi * np.sqrt(one_m_r2))
     d_t = -phi2 * (r / (2.0 * t))
     d_s = phi2 * (r / (2.0 * s))
-    return _scalar_or_array(d_t, u, v), _scalar_or_array(d_s, u, v)
+    return _scalar_or_array(d_t), _scalar_or_array(d_s)
 
 
 def _validate_grid(name: str, grid: np.ndarray) -> np.ndarray:
@@ -266,31 +280,45 @@ def clock_angle(s: float, t: float) -> float:
     return math.atan2(math.sqrt(lo), math.sqrt(hi - lo))
 
 
-def _angle_integral(d, b, theta: float, tol: float) -> np.ndarray:
-    """The integral above from 0 to ``theta`` < pi/2 per cell, with error at most ``tol``."""
-    x_near = 0.5 * math.pi - theta
+def _angle_integral(d, b, theta, tol: float) -> np.ndarray:
+    """The integral above from 0 to ``theta`` < pi/2 per cell, with error at most ``tol``.
+
+    ``theta`` is one angle for every cell or an array of one angle per cell.
+    Each cell's panels double from pi/2 - theta up to pi/2; a cell that runs
+    out of panels before the others gets empty ones (zero width at pi/2).
+    One node count serves the call: that of the largest summed half-width
+    and the smallest ellipse parameter of any cell, so every cell meets
+    ``tol``.  Temporaries are (cells, nodes), whatever the panel count.
+    """
     x_far = 0.5 * math.pi
+    lo = x_far - np.asarray(theta, dtype=float)
     out = np.zeros(d.shape)
-    if x_far <= x_near:
+    mids, halves = [], []
+    while np.any(lo < x_far):
+        hi = np.minimum(2.0 * lo, x_far)
+        half = 0.5 * (hi - lo)
+        mids.append(lo + half)
+        halves.append(half)
+        lo = hi
+    if not halves:
         return out
 
-    edges = [x_near]
-    while edges[-1] < x_far:
-        edges.append(min(2.0 * edges[-1], x_far))
-    edges = np.array(edges)
-    half = 0.5 * np.diff(edges)
-    mid = edges[:-1] + half
-    q = 2.0 * (mid / half) ** 2
+    mid = np.array(mids)
+    half = np.array(halves)
+    live = half > 0.0
+    q = 2.0 * (mid[live] / half[live]) ** 2
     rho2 = float(np.min(0.5 * (q + np.sqrt((q - 2.0) * (q + 2.0)))))
-    nodes, weights = _gl_rule(_node_count(float(half.sum()), rho2, tol))
+    half_total = float(np.max(half.sum(axis=0)))
+    nodes, weights = _gl_rule(_node_count(half_total, rho2, tol))
 
     for c, w in zip(mid, half):
-        x = c + w * nodes
-        expo = np.multiply.outer(d, 0.5 / np.sin(x) ** 2)
-        expo += np.multiply.outer(b, 0.5 / np.cos(0.5 * x) ** 2)
+        # (nodes,) for one angle, (cells, nodes) for one per cell
+        x = c[..., None] + w[..., None] * nodes
+        expo = d[:, None] * (0.5 / np.sin(x) ** 2)
+        expo += b[:, None] * (0.5 / np.cos(0.5 * x) ** 2)
         np.negative(expo, out=expo)
         np.exp(expo, out=expo)
-        out += expo @ (w * weights)
+        out += expo @ (w * weights) if w.ndim == 0 else w * (expo @ weights)
     return out * (1.0 / (2.0 * math.pi))
 
 

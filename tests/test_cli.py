@@ -56,6 +56,23 @@ def test_commands_run_without_scipy(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+_NO_POOL_SCRIPT = """
+import sys
+import hfcopula.cli
+assert "concurrent.futures.process" not in sys.modules, "the process pool was imported"
+assert "multiprocessing" not in sys.modules, "multiprocessing was imported"
+"""
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    """Only a run with more than one worker pays for the process pool's import."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", _NO_POOL_SCRIPT],
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stderr
+
+
 def test_simulate_row_count(tmp_path):
     out = tmp_path / "sim"
     assert main(["--command", "simulate", "--n", "50", "--out", str(out)]) == 0
@@ -315,6 +332,27 @@ def test_estimate_zero_realized_variation_exits_2(tmp_path, capsys):
     assert code == 2
     assert "s > 0" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+# row 1 is interior and fine; the two failing rows in either order
+_COINCIDE_ROW = "0.7,0.701,0.5,0.5\n"   # both times in one grid cell: exit 3
+_ZERO_S_ROW = "0.001,0.7,0.5,0.5\n"     # [X]_s = 0 < [X]_t: exit 2
+
+
+@pytest.mark.parametrize("rows, code, message", [
+    (_COINCIDE_ROW + _ZERO_S_ROW, 3, "coincide"),
+    (_ZERO_S_ROW + _COINCIDE_ROW, 2, "s > 0"),
+])
+def test_estimate_first_failing_row_decides_exit(tmp_path, capsys, rows, code, message):
+    sim = tmp_path / "sim"
+    main(["--command", "simulate", "--n", "100", "--out", str(sim)])
+    queries = tmp_path / "q.csv"
+    queries.write_text("s,t,u,v\n0.3,0.6,0.5,0.5\n" + rows, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
+                 "--queries", str(queries), "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_and_flag_precedence(tmp_path):

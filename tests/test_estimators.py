@@ -12,6 +12,7 @@ from hfcopula.estimators import (
     SampledPath,
     boundary_aware_interval,
     copula_estimate,
+    estimate_columns,
     interval_bounds,
     quarticity,
     realized_variation,
@@ -195,6 +196,77 @@ def test_boundary_aware_interval():
     for u in (0.0, 0.7):
         with pytest.raises(ValueError, match="level must lie in"):
             boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=u, v=0.3), 1.5)
+
+
+def _mixed_queries(path):
+    """Interior, boundary, lower-tail, repeated and reversed (s, t) rows."""
+    rng = np.random.default_rng(17)
+    m = 40
+    s = rng.uniform(0.05, 0.9, m)
+    t = rng.uniform(0.05, 0.9, m)
+    u = rng.uniform(0.02, 0.98, m)
+    v = rng.uniform(0.02, 0.98, m)
+    u[:5], v[5:10] = (0.0, 1.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0, 1.0)  # boundary
+    v[10:14] = (1e-12, 2e-12, 5e-13, 1e-12)                                 # lower tail
+    s[14:18], t[14:18] = s[20], t[20]                                       # repeated pair
+    return s, t, u, v
+
+
+def test_estimate_columns_match_per_row_intervals():
+    """Each row of the columnar pass is the one-row estimate, to rounding."""
+    path = simulate_scenario(ConstantVol(1.0), SimConfig(n=5000, seed=3)).path
+    s, t, u, v = _mixed_queries(path)
+    level = np.where(np.arange(s.size) % 2, 0.9, 0.99)
+    est = estimate_columns(path, s, t, u, v, level)
+    assert set(est) == {"c_hat", "v_hat", "ci_lo", "ci_hi", "rv_s", "rv_t"}
+    for i in range(s.size):
+        ref = boundary_aware_interval(
+            path, CopulaQuery(float(s[i]), float(t[i]), float(u[i]), float(v[i])),
+            float(level[i]))
+        assert est["rv_s"][i] == realized_variation(path, float(s[i]))
+        assert est["rv_t"][i] == realized_variation(path, float(t[i]))
+        for key in ("c_hat", "v_hat", "ci_lo", "ci_hi"):
+            want = getattr(ref, key)
+            assert abs(est[key][i] - want) <= 1e-14 * want, (i, key)
+        if u[i] in (0.0, 1.0) or v[i] in (0.0, 1.0):
+            assert est["v_hat"][i] == 0.0
+            assert est["ci_lo"][i] == est["c_hat"][i] == est["ci_hi"][i] == ref.c_hat
+    # and the scalar kernel route, one query at a time, agrees on every row
+    for i in range(s.size):
+        q = CopulaQuery(float(s[i]), float(t[i]), float(u[i]), float(v[i]))
+        want = copula_estimate(path, q)
+        assert abs(est["c_hat"][i] - want) <= 1e-14 * want
+        if 0.0 < u[i] < 1.0 and 0.0 < v[i] < 1.0:
+            want = variance_estimate(path, q)
+            assert abs(est["v_hat"][i] - want) <= 1e-14 * want
+
+
+def test_estimate_columns_errors_follow_row_order():
+    path = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=3)).path
+    # row 1: both times in one grid cell (coincide); row 2: s before the first step
+    s, t = np.array([0.3, 0.7, 0.001]), np.array([0.6, 0.701, 0.7])
+    with pytest.raises(NearDiagonalError, match="coincide"):
+        estimate_columns(path, s, t, 0.5, 0.5, 0.95)
+    with pytest.raises(ValueError, match="s > 0"):
+        estimate_columns(path, s[::-1], t[::-1], 0.5, 0.5, 0.95)
+    with pytest.raises(ValueError, match="time 1.5 outside"):
+        estimate_columns(path, np.array([0.3, 1.5]), 0.7, 0.5, 0.5, 0.95)
+    # a boundary row's level is checked with the interval, as for one row
+    with pytest.raises(ValueError, match="level must lie in .* got 1.5"):
+        estimate_columns(path, 0.3, 0.7, np.array([0.5, 0.0]), 0.5, np.array([0.9, 1.5]))
+
+
+def test_indices_at_matches_index_at():
+    ts = np.array([0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9999999999, 1.0])
+    np.testing.assert_array_equal(TOY.indices_at(ts), [TOY.index_at(float(x)) for x in ts])
+    for bad in (1.5, -0.1, math.nan):
+        with pytest.raises(ValueError):
+            TOY.indices_at(np.array([0.5, bad]))
+
+
+def test_overflowing_increments_rejected():
+    with pytest.raises(ValueError, match="overflow"):
+        SampledPath(values=np.array([0.0, 1e80, 0.0, 1.0]), n=3, horizon=1.0)
 
 
 def test_query_validation():

@@ -8,7 +8,9 @@ from scipy import special
 from scipy.stats import multivariate_normal
 
 from hfcopula.kernel import (
+    DIAG_REL_TOL,
     NearDiagonalError,
+    _angle_integral,
     clock_angle,
     grad_psi,
     grad_psi_grid,
@@ -216,6 +218,91 @@ def test_gradient_coinciding_times_are_near_diagonal():
     assert not isinstance(info.value, NearDiagonalError)
     with pytest.raises(NearDiagonalError):
         grad_psi_grid(0.0, 0.0, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+
+
+def _mixed_clock_cells(m=120, seed=21):
+    """Random cells with every branch: tails, diagonal, zero clocks, s > t, edges."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(0.01, 2.0, m)
+    t = rng.uniform(0.01, 2.0, m)
+    u = rng.uniform(0.02, 0.98, m)
+    v = rng.uniform(0.02, 0.98, m)
+    v[:6] = (1e-12, 2e-12, 5e-13, 1e-12, 1e-30, 1e-12)    # lower tail
+    t[6:9] = s[6:9]                                        # on the diagonal
+    t[9] = s[9] * (1.0 + 0.5 * DIAG_REL_TOL)               # inside the diagonal band
+    t[10] = s[10] * (1.0 + 1e-9)                           # just outside it
+    s[11], t[12], s[13], t[13] = 0.0, 0.0, 0.0, 0.0        # zero clocks
+    s[14], t[14] = 1.9, 0.02                               # s > t, far apart
+    u[15], v[16], u[17], v[18] = 0.0, 0.0, 1.0, 1.0        # edges of the square
+    return s, t, u, v
+
+
+def test_psi_array_clocks_match_scalar_calls():
+    """Array clock values give each element's scalar value to 1e-14 relative,
+    and the exact branches exactly."""
+    s, t, u, v = _mixed_clock_cells()
+    got = psi(s, t, u, v)
+    ref = np.array([psi(*cell) for cell in zip(s.tolist(), t.tolist(), u.tolist(), v.tolist())])
+    assert got.shape == s.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+    exact = (np.isclose(s, t, rtol=DIAG_REL_TOL, atol=0.0) | (s == 0.0) | (t == 0.0)
+             | np.isin(u, (0.0, 1.0)) | np.isin(v, (0.0, 1.0)))
+    np.testing.assert_array_equal(got[exact], ref[exact])
+    # clocks broadcast with (u, v): one column of clock pairs against a row of cells
+    grid = psi(s[:, None], t[:, None], u[None, :20], v[None, :20])
+    assert grid.shape == (s.size, 20)
+    assert np.all(np.abs(grid[:, 3] - psi(s, t, u[3], v[3])) <= 1e-14 * grid[:, 3])
+    assert isinstance(psi(np.float64(0.3), 0.7, 0.5, 0.5), float)
+
+
+def test_psi_array_clocks_symmetric_and_checked_in_order():
+    s, t, u, v = _mixed_clock_cells()
+    np.testing.assert_array_equal(psi(s, t, u, v), psi(t, s, u, v))
+    with pytest.raises(ValueError, match="s=-1.0"):
+        psi(np.array([0.3, -1.0, math.nan]), 0.7, 0.5, 0.5)
+    with pytest.raises(ValueError, match="t=nan"):
+        psi(np.array([0.3, math.nan, -1.0]), np.array([0.7, math.nan, 0.5]), 0.5, 0.5)
+
+
+def test_angle_integral_per_cell_angles_match_one_angle():
+    """One angle per cell gives each cell what a call with its angle alone gives."""
+    rng = np.random.default_rng(4)
+    h, k = rng.normal(size=(2, 50))
+    theta = rng.uniform(1e-3, 0.5 * math.pi - 1e-6, 50)
+    tol = 1e-20
+    got = _angle_integral((h - k) ** 2, h * k, theta, tol)
+    for i in range(50):
+        one = _angle_integral((h[i:i + 1] - k[i:i + 1]) ** 2, h[i:i + 1] * k[i:i + 1],
+                              float(theta[i]), tol)
+        assert abs(got[i] - one[0]) <= 1e-15 * max(abs(one[0]), 1e-300) + 1e-20
+
+
+def test_grad_psi_array_clocks_match_scalar_calls():
+    rng = np.random.default_rng(6)
+    s = rng.uniform(0.01, 1.0, 80)
+    t = s + rng.uniform(1e-6, 1.0, 80) * s
+    u = rng.uniform(1e-9, 1.0 - 1e-9, 80)
+    v = rng.uniform(1e-9, 1.0 - 1e-9, 80)
+    v[:3] = 1e-12
+    g_t, g_s = grad_psi(s, t, u, v)
+    ref = np.array([grad_psi(*cell) for cell in zip(s.tolist(), t.tolist(),
+                                                    u.tolist(), v.tolist())])
+    np.testing.assert_allclose(g_t, ref[:, 0], rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(g_s, ref[:, 1], rtol=1e-15, atol=0.0)
+    # scalar u, v broadcast against the clock arrays
+    g_t, _ = grad_psi(s, t, 0.3, 0.6)
+    assert g_t.shape == s.shape and g_t[5] == grad_psi(float(s[5]), float(t[5]), 0.3, 0.6)[0]
+
+
+def test_grad_psi_array_clocks_first_bad_pair_raises():
+    """The first clock pair outside the domain, in order, decides the error."""
+    s = np.array([0.2, 0.5, 0.0])
+    t = np.array([0.4, 0.5, 0.7])
+    with pytest.raises(NearDiagonalError, match="s=0.5, t=0.5"):
+        grad_psi(s, t, 0.5, 0.5)
+    with pytest.raises(ValueError, match="s > 0") as info:
+        grad_psi(s[::-1], t[::-1], 0.5, 0.5)
+    assert not isinstance(info.value, NearDiagonalError)
 
 
 def test_pair_validation():
