@@ -3,7 +3,10 @@
 A path observed at times i/n is reduced to prefix sums of squared and
 fourth-power increments once; realized variation, quarticity, the plug-in
 copula estimate, its feasible asymptotic variance, and studentized
-confidence intervals are then O(1) per query.
+confidence intervals are then O(1) per query.  Each takes its times and
+unit-square points as floats, giving a float, or as broadcastable arrays,
+giving an array; :func:`estimate_columns` composes them for many queries
+at once.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import grad_psi, ndtri, psi
+from .kernel import _scalar_or_array, grad_psi, ndtri, psi
 
 __all__ = [
     "SampledPath",
@@ -97,22 +100,26 @@ class SampledPath:
         object.__setattr__(self, "_sq_prefix", sq)
         object.__setattr__(self, "_q4_prefix", q4)
 
-    def index_at(self, t: float) -> int:
-        """Grid index floor(n*t), guarding against floating-point misrounding."""
-        if not (isinstance(t, (int, float)) and math.isfinite(t)):
-            raise ValueError(f"time must be a finite real, got {t!r}")
-        if t < 0.0 or t > self.horizon + _INDEX_GUARD / self.n:
-            raise ValueError(f"time {t!r} outside [0, {self.horizon!r}]")
-        return min(_grid_index(self.n, t), self.values.size - 1)
+    def index_at(self, t):
+        """Grid index floor(n*t), guarding against floating-point misrounding.
 
-    def indices_at(self, t) -> np.ndarray:
-        """:meth:`index_at` of each time in the array ``t``, with the same arithmetic."""
-        t = np.asarray(t, dtype=float)
-        inside = (t >= 0.0) & (t <= self.horizon + _INDEX_GUARD / self.n)
+        ``t`` is a real, giving an int, or an array of reals, giving an
+        array of indices.  Booleans are not times.  The first time, in
+        order, that is not finite or lies outside [0, horizon] raises
+        ValueError.
+        """
+        arr = np.asarray(t)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"time must be a finite real, got {t!r}")
+        arr = arr.astype(float, copy=False)
+        inside = (arr >= 0.0) & (arr <= self.horizon + _INDEX_GUARD / self.n)
         if not np.all(inside):
-            self.index_at(float(t[~inside][0]))  # raises, with the scalar message
-        idx = np.floor(self.n * t + _INDEX_GUARD).astype(np.intp)
-        return np.minimum(idx, self.values.size - 1)
+            bad = arr[~inside][0].item()
+            if not math.isfinite(bad):
+                raise ValueError(f"time must be a finite real, got {bad!r}")
+            raise ValueError(f"time {bad!r} outside [0, {self.horizon!r}]")
+        idx = np.floor(self.n * arr + _INDEX_GUARD).astype(np.intp)
+        return _scalar_or_array(np.minimum(idx, self.values.size - 1))
 
 
 @dataclass(frozen=True)
@@ -153,19 +160,25 @@ class CopulaEstimate:
             )
 
 
-def realized_variation(path: SampledPath, t: float) -> float:
-    """Sum of squared increments over grid times up to t."""
-    return float(path._sq_prefix[path.index_at(t)])
+def realized_variation(path: SampledPath, t):
+    """Sum of squared increments over grid times up to each time in ``t``."""
+    return _scalar_or_array(path._sq_prefix[path.index_at(t)])
 
 
-def quarticity(path: SampledPath, t: float) -> float:
-    """(n/3) times the sum of fourth-power increments up to t."""
-    return float(path.n / 3.0 * path._q4_prefix[path.index_at(t)])
+def quarticity(path: SampledPath, t):
+    """(n/3) times the sum of fourth-power increments up to each time in ``t``."""
+    return _scalar_or_array(path.n / 3.0 * path._q4_prefix[path.index_at(t)])
 
 
-def copula_estimate(path: SampledPath, q: CopulaQuery) -> float:
-    """Plug-in copula value: the kernel evaluated at the realized variations."""
-    return psi(realized_variation(path, q.s), realized_variation(path, q.t), q.u, q.v)
+def copula_estimate(path: SampledPath, s, t, u, v):
+    """Plug-in copula value: the kernel evaluated at the realized variations.
+
+    ``s``, ``t``, ``u`` and ``v`` are floats or broadcastable arrays, as for
+    :func:`~hfcopula.kernel.psi`, whose quadrature serves the whole call:
+    interior elements agree with per-element calls within its 1e-14
+    relative contract, and the exact branches to the bit.
+    """
+    return psi(realized_variation(path, s), realized_variation(path, t), u, v)
 
 
 def variance_quadratic_form(g_t: float, g_s: float, q_t: float, q_s: float) -> float:
@@ -178,27 +191,26 @@ def variance_quadratic_form(g_t: float, g_s: float, q_t: float, q_s: float) -> f
     if not np.all((q_t >= q_s) & (q_s >= 0.0)):
         raise ValueError(f"need q_t >= q_s >= 0, got q_t={q_t!r}, q_s={q_s!r}")
     g_sum = g_t + g_s
-    return 2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t)
+    return _scalar_or_array(2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t))
 
 
-def variance_estimate(path: SampledPath, q: CopulaQuery) -> float:
-    """Feasible asymptotic variance of the plug-in estimate at query q.
+def variance_estimate(path: SampledPath, s, t, u, v):
+    """Feasible asymptotic variance of the plug-in estimate at (s, t, u, v).
 
-    The kernel gradient is taken at the realized-variation pair and paired
-    with quarticities: the d/dt component with the larger time's
-    quarticity.  Its errors come from :func:`~hfcopula.kernel.grad_psi`:
-    ValueError unless u and v lie strictly inside (0, 1), NearDiagonalError
-    when the realized variations (nearly) coincide, and ValueError when the
-    smaller one is zero.
+    The arguments are floats or broadcastable arrays, as for
+    :func:`copula_estimate`.  The kernel gradient is taken at the
+    realized-variation pair, earlier time first, and paired with
+    quarticities: the d/dt component with the later time's quarticity.
+    Both measures never decrease in time, so the smaller of each pair is
+    the earlier time's.  Past the times' checks, errors come from
+    :func:`~hfcopula.kernel.grad_psi`: ValueError unless u and v lie
+    strictly inside (0, 1), NearDiagonalError when the realized variations
+    (nearly) coincide, and ValueError when the smaller one is zero.
     """
-    t_lo = min(q.s, q.t)
-    t_hi = max(q.s, q.t)
-    rv_lo = realized_variation(path, t_lo)
-    rv_hi = realized_variation(path, t_hi)
-    g_t, g_s = grad_psi(rv_lo, rv_hi, q.u, q.v)
-    q_lo = quarticity(path, t_lo)
-    q_hi = quarticity(path, t_hi)
-    return variance_quadratic_form(g_t, g_s, q_hi, q_lo)
+    rv_s, rv_t = realized_variation(path, s), realized_variation(path, t)
+    q_s, q_t = quarticity(path, s), quarticity(path, t)
+    g_t, g_s = grad_psi(np.minimum(rv_s, rv_t), np.maximum(rv_s, rv_t), u, v)
+    return variance_quadratic_form(g_t, g_s, np.maximum(q_s, q_t), np.minimum(q_s, q_t))
 
 
 def interval_bounds(c_hat, v_hat, n: int, u, v, level):
@@ -226,37 +238,26 @@ def estimate_columns(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarr
 
     ``s``, ``t``, ``u``, ``v`` and ``level`` are floats or broadcastable 1-d
     arrays, one element per query.  Returns the 1-d columns ``c_hat``,
-    ``v_hat``, ``ci_lo``, ``ci_hi``, ``rv_s`` and ``rv_t``: the realized
-    variations index the path's prefix sums, the kernel and its gradient
-    take them as arrays, and the intervals are those of
+    ``v_hat``, ``ci_lo``, ``ci_hi``, ``rv_s`` and ``rv_t``: those of
+    :func:`copula_estimate`, :func:`variance_estimate` and
+    :func:`realized_variation` on the whole columns, with the intervals of
     :func:`interval_bounds`.  At u or v in {0, 1} the copula value is forced
     by the axioms, so the row is exact, with v_hat = 0 and a point interval.
 
-    Errors are those of a row-by-row loop, and the first failing row decides
-    them: :meth:`SampledPath.indices_at` for the times,
-    :func:`~hfcopula.kernel.grad_psi` for the gradient's domain (ValueError,
-    or NearDiagonalError where the realized variations coincide), and
-    :class:`CopulaEstimate` for the level and the interval.
+    Errors are those of the functions called, each check taking the rows in
+    order, so the first failing row decides it: the times, then u and v,
+    then the gradient's domain (ValueError, or NearDiagonalError where the
+    realized variations coincide), and last :class:`CopulaEstimate` for the
+    level and the interval.
     """
-    s, t, u, v, level = np.broadcast_arrays(
-        *(np.atleast_1d(np.asarray(a, dtype=float)) for a in (s, t, u, v, level)))
-    i_s = path.indices_at(s)
-    i_t = path.indices_at(t)
-    rv_s = path._sq_prefix[i_s]
-    rv_t = path._sq_prefix[i_t]
-    c_hat = psi(rv_s, rv_t, u, v)
+    s, t, u, v, level = np.broadcast_arrays(*map(np.atleast_1d, (s, t, u, v, level)))
+    c_hat = copula_estimate(path, s, t, u, v)
     v_hat = np.zeros(c_hat.shape)
     ci_lo = c_hat.copy()
     ci_hi = c_hat.copy()
     inner = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
     if np.any(inner):
-        # the d/dt component pairs with the later time's quarticity
-        i_lo = np.minimum(i_s, i_t)[inner]
-        i_hi = np.maximum(i_s, i_t)[inner]
-        g_t, g_s = grad_psi(path._sq_prefix[i_lo], path._sq_prefix[i_hi], u[inner], v[inner])
-        q4 = path._q4_prefix
-        v_hat[inner] = variance_quadratic_form(g_t, g_s, path.n / 3.0 * q4[i_hi],
-                                               path.n / 3.0 * q4[i_lo])
+        v_hat[inner] = variance_estimate(path, s[inner], t[inner], u[inner], v[inner])
         c_hat[inner], ci_lo[inner], ci_hi[inner] = interval_bounds(
             c_hat[inner], v_hat[inner], path.n, u[inner], v[inner], level[inner])
     valid = ((level > 0.0) & (level < 1.0) & (v_hat >= 0.0) & (0.0 <= ci_lo)
@@ -267,7 +268,7 @@ def estimate_columns(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarr
         CopulaEstimate(c_hat=float(c_hat[i]), v_hat=float(v_hat[i]), ci_lo=float(ci_lo[i]),
                        ci_hi=float(ci_hi[i]), level=float(level[i]))
     return {"c_hat": c_hat, "v_hat": v_hat, "ci_lo": ci_lo, "ci_hi": ci_hi,
-            "rv_s": rv_s, "rv_t": rv_t}
+            "rv_s": realized_variation(path, s), "rv_t": realized_variation(path, t)}
 
 
 def boundary_aware_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:

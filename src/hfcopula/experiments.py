@@ -21,7 +21,6 @@ import numpy as np
 
 from . import __version__
 from .estimators import (
-    CopulaQuery,
     _check_pos_int,
     _check_real,
     _grid_index,
@@ -226,10 +225,9 @@ def _qq_replication(spec: QqSpec, rep: int) -> tuple[float, float, float, str]:
     i_s = path.index_at(spec.s)
     i_t = path.index_at(spec.t)
     c_true = psi(float(scn.true_T[i_s]), float(scn.true_T[i_t]), spec.u, spec.v)
-    q = CopulaQuery(s=spec.s, t=spec.t, u=spec.u, v=spec.v)
-    c_hat = copula_estimate(path, q)
+    c_hat = copula_estimate(path, spec.s, spec.t, spec.u, spec.v)
     try:
-        v_hat = variance_estimate(path, q)
+        v_hat = variance_estimate(path, spec.s, spec.t, spec.u, spec.v)
     except NearDiagonalError:
         return c_true, c_hat, math.nan, "near_diagonal"
     if not v_hat > 0.0:
@@ -319,9 +317,9 @@ def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray
         # for this replication
         v_grid = np.full(c_hat.shape, np.nan)
     else:
-        q_lo = quarticity(path, min(spec.s, spec.t))
-        q_hi = quarticity(path, max(spec.s, spec.t))
-        v_grid = variance_quadratic_form(g_t, g_s, q_hi, q_lo)
+        # the spec has s < t, so the d/dt component pairs with t's quarticity
+        v_grid = variance_quadratic_form(g_t, g_s, quarticity(path, spec.t),
+                                         quarticity(path, spec.s))
     center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :], spec.level)
 
     # the interval is a point on the boundary of the unit square
@@ -392,9 +390,9 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
 def _sup_distance(true_clock: np.ndarray, realized_clock: np.ndarray,
                   grid: np.ndarray) -> float:
     """Sup of |psi(realized) - psi(true)| over ordered time pairs and cells ``grid x grid``."""
-    pairs = list(zip(*np.triu_indices(true_clock.size, k=1)))
-    theta0, theta1 = ([clock_angle(c[i], c[j]) for i, j in pairs]
-                      for c in (true_clock.tolist(), realized_clock.tolist()))
+    i, j = np.triu_indices(true_clock.size, k=1)
+    theta0 = clock_angle(true_clock[i], true_clock[j])
+    theta1 = clock_angle(realized_clock[i], realized_clock[j])
     return float(np.max(sup_difference(grid, theta0, theta1), initial=0.0))
 
 
@@ -404,9 +402,8 @@ def _rho_replication(spec: RhoSpec, n: int, rep: int) -> float:
     scn = simulate_scenario(spec.vol, cfg)
     path = scn.path
     tg = spec.time_grid()
-    indices = np.array([path.index_at(float(tv)) for tv in tg])
-    rv = np.array([realized_variation(path, float(tv)) for tv in tg])
-    return _sup_distance(scn.true_T[indices], rv, np.linspace(0.0, 1.0, spec.uv_grid))
+    return _sup_distance(scn.true_T[path.index_at(tg)], realized_variation(path, tg),
+                         np.linspace(0.0, 1.0, spec.uv_grid))
 
 
 def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:

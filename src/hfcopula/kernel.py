@@ -69,29 +69,21 @@ def ndtr(x):
 
 
 def _unit_values(name: str, val, strict: bool = False) -> np.ndarray:
-    """``val`` as a float array, checked to lie in [0, 1] (in (0, 1) if ``strict``)."""
+    """``val`` as a float array, checked to lie in [0, 1] (in (0, 1) if ``strict``).
+
+    The message names the first element, in order, outside the interval.
+    """
     arr = np.asarray(val, dtype=float)
     inside = (arr > 0.0) & (arr < 1.0) if strict else (arr >= 0.0) & (arr <= 1.0)
     if not np.all(inside):
         bounds = "strictly inside (0, 1)" if strict else "within [0, 1]"
-        raise ValueError(f"{name} must lie {bounds}, got {val!r}")
+        raise ValueError(f"{name} must lie {bounds}, got {arr[~inside][0].item()!r}")
     return arr
 
 
 def _scalar_or_array(out):
-    """A float when every argument was a scalar (``out`` is 0-d), else the array."""
-    return out if np.ndim(out) else float(out)
-
-
-def _clock_angles(s, t) -> np.ndarray:
-    """:func:`clock_angle` of each element of the broadcast ``s`` and ``t``; 0-d for scalars.
-
-    The angles are taken one element at a time, in order, so the first
-    invalid pair raises, and each angle has the bits of a scalar call.
-    """
-    s_arr, t_arr = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
-    return np.fromiter(map(clock_angle, s_arr.ravel().tolist(), t_arr.ravel().tolist()),
-                       float, s_arr.size).reshape(s_arr.shape)
+    """A Python number when every argument was a scalar (``out`` is 0-d), else the array."""
+    return out if np.ndim(out) else np.asarray(out).item()
 
 
 def psi(s, t, u, v):
@@ -107,7 +99,7 @@ def psi(s, t, u, v):
     call (for u*v down to 1e-286), so its error is at most 1e-14 of each
     value, lower tail included; rounding adds a few ulps.
     """
-    theta = _clock_angles(s, t)
+    theta = np.asarray(clock_angle(s, t))
     u_arr = _unit_values("u", u)
     v_arr = _unit_values("v", v)
     diag = theta == 0.5 * math.pi
@@ -262,22 +254,29 @@ def _node_count(half_total: float, rho2: float, tol: float) -> int:
 _gl_rule = functools.cache(np.polynomial.legendre.leggauss)
 
 
-def clock_angle(s: float, t: float) -> float:
+def clock_angle(s, t):
     """Angle asin(r) of the kernel's correlation r = sqrt(min/max) of clock values.
 
-    Same case branches as :func:`psi`: 0 when either clock value is zero
-    (independence) and pi/2 on the diagonal, within ``DIAG_REL_TOL``
-    relative distance.
+    ``s`` and ``t`` are floats or broadcastable arrays; two floats give a
+    float.  Same case branches as :func:`psi`: 0 when either clock value is
+    zero (independence) and pi/2 on the diagonal, within ``DIAG_REL_TOL``
+    relative distance.  The first pair, in order, that is not finite and
+    nonnegative raises ValueError.
     """
-    if not (math.isfinite(s) and math.isfinite(t) and s >= 0.0 and t >= 0.0):
-        raise ValueError(f"clock values must be finite reals >= 0, got s={s!r}, t={t!r}")
-    hi = max(s, t)
-    lo = min(s, t)
-    if hi == 0.0:
-        return 0.0
-    if hi - lo <= DIAG_REL_TOL * hi:
-        return 0.5 * math.pi
-    return math.atan2(math.sqrt(lo), math.sqrt(hi - lo))
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    bad = ~(np.isfinite(s) & np.isfinite(t) & (s >= 0.0) & (t >= 0.0))
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        raise ValueError(f"clock values must be finite reals >= 0, got "
+                         f"s={s.flat[i].item()!r}, t={t.flat[i].item()!r}")
+    hi = np.maximum(s, t)
+    lo = np.minimum(s, t)
+    # the standard library's atan2, whose bits numpy's arctan2 need not share
+    theta = np.fromiter(map(math.atan2, np.sqrt(lo).ravel().tolist(),
+                            np.sqrt(hi - lo).ravel().tolist()), float, hi.size).reshape(hi.shape)
+    theta[hi - lo <= DIAG_REL_TOL * hi] = 0.5 * math.pi
+    theta[hi == 0.0] = 0.0
+    return _scalar_or_array(theta)
 
 
 def _angle_integral(d, b, theta, tol: float) -> np.ndarray:

@@ -2,6 +2,8 @@
 the feasible variance, and confidence intervals."""
 
 import math
+import re
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from hfcopula.estimators import (
     variance_estimate,
     variance_quadratic_form,
 )
-from hfcopula.kernel import NearDiagonalError
+from hfcopula.kernel import NearDiagonalError, clock_angle
 from hfcopula.simulate import ConstantVol, SimConfig, simulate_scenario
 
 # worked example: increments 0.1, -0.2, 0.3 at n = 3
@@ -77,10 +79,10 @@ def test_step_functions_nondecreasing():
 
 
 def test_copula_estimate_boundary_and_flat():
-    assert copula_estimate(TOY, CopulaQuery(s=0.5, t=1.0, u=0.0, v=0.7)) == 0.0
+    assert copula_estimate(TOY, 0.5, 1.0, 0.0, 0.7) == 0.0
     # no increments inside (s, t] leaves realized variations equal: diagonal branch
     flat = SampledPath(values=np.array([0.0, 0.5, 0.5, 0.5, 0.7]), n=4, horizon=1.0)
-    val = copula_estimate(flat, CopulaQuery(s=0.25, t=0.75, u=0.3, v=0.8))
+    val = copula_estimate(flat, 0.25, 0.75, 0.3, 0.8)
     assert val == 0.3
 
 
@@ -88,7 +90,7 @@ def test_copula_estimate_sigma_one():
     """Plug-in value near the known copula at (1,2,0.5,0.5) across seeds."""
     for seed in (0, 1, 2):
         scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=10_000, horizon=2.0, seed=seed))
-        val = copula_estimate(scn.path, CopulaQuery(s=1.0, t=2.0, u=0.5, v=0.5))
+        val = copula_estimate(scn.path, 1.0, 2.0, 0.5, 0.5)
         assert abs(val - 0.375) <= 0.02
 
 
@@ -104,7 +106,7 @@ def test_variance_quadratic_form():
 
 def test_variance_vanishing_u():
     scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=500, seed=3))
-    v = variance_estimate(scn.path, CopulaQuery(s=0.3, t=0.7, u=1e-9, v=0.5))
+    v = variance_estimate(scn.path, 0.3, 0.7, 1e-9, 0.5)
     assert 0.0 <= v < 1e-12
 
 
@@ -113,7 +115,7 @@ def test_variance_zero_quarticity():
     # but so do the realized variations, which is the near-diagonal case
     path = SampledPath(values=np.zeros(5), n=4, horizon=1.0)
     with pytest.raises(NearDiagonalError):
-        variance_estimate(path, CopulaQuery(s=0.25, t=0.75, u=0.3, v=0.7))
+        variance_estimate(path, 0.25, 0.75, 0.3, 0.7)
 
 
 def test_variance_nonnegative_on_random_queries():
@@ -127,8 +129,7 @@ def test_variance_nonnegative_on_random_queries():
         if t - s < 0.05:
             continue
         u, v = rng.uniform(0.05, 0.95, size=2)
-        v_hat = variance_estimate(path, CopulaQuery(s=float(s), t=float(t),
-                                                    u=float(u), v=float(v)))
+        v_hat = variance_estimate(path, float(s), float(t), float(u), float(v))
         assert v_hat >= 0.0
         count += 1
 
@@ -136,13 +137,13 @@ def test_variance_nonnegative_on_random_queries():
 def test_variance_requires_interior_uv():
     scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=0))
     with pytest.raises(ValueError):
-        variance_estimate(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.0, v=0.5))
+        variance_estimate(scn.path, 0.3, 0.7, 0.0, 0.5)
 
 
 def test_near_diagonal_coinciding_realized_variations():
     flat = SampledPath(values=np.array([0.0, 0.5, 0.5, 0.5, 0.7]), n=4, horizon=1.0)
     with pytest.raises(NearDiagonalError):
-        variance_estimate(flat, CopulaQuery(s=0.25, t=0.75, u=0.3, v=0.7))
+        variance_estimate(flat, 0.25, 0.75, 0.3, 0.7)
 
 
 def test_interval_bounds_arithmetic():
@@ -233,11 +234,11 @@ def test_estimate_columns_match_per_row_intervals():
             assert est["ci_lo"][i] == est["c_hat"][i] == est["ci_hi"][i] == ref.c_hat
     # and the scalar kernel route, one query at a time, agrees on every row
     for i in range(s.size):
-        q = CopulaQuery(float(s[i]), float(t[i]), float(u[i]), float(v[i]))
-        want = copula_estimate(path, q)
+        q = (float(s[i]), float(t[i]), float(u[i]), float(v[i]))
+        want = copula_estimate(path, *q)
         assert abs(est["c_hat"][i] - want) <= 1e-14 * want
         if 0.0 < u[i] < 1.0 and 0.0 < v[i] < 1.0:
-            want = variance_estimate(path, q)
+            want = variance_estimate(path, *q)
             assert abs(est["v_hat"][i] - want) <= 1e-14 * want
 
 
@@ -256,12 +257,67 @@ def test_estimate_columns_errors_follow_row_order():
         estimate_columns(path, 0.3, 0.7, np.array([0.5, 0.0]), 0.5, np.array([0.9, 1.5]))
 
 
-def test_indices_at_matches_index_at():
-    ts = np.array([0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9999999999, 1.0])
-    np.testing.assert_array_equal(TOY.indices_at(ts), [TOY.index_at(float(x)) for x in ts])
-    for bad in (1.5, -0.1, math.nan):
-        with pytest.raises(ValueError):
-            TOY.indices_at(np.array([0.5, bad]))
+def _elementwise_cases():
+    """Per function: the call, array arguments, and arguments whose second element
+    is the first to fail (a later one fails another way)."""
+    rng = np.random.default_rng(9)
+    path = SampledPath(values=np.concatenate([[0.0], np.cumsum(rng.standard_normal(100) / 10.0)]),
+                       n=100, horizon=1.0)
+    times = np.concatenate([[0.0, 0.01, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.9999999999, 1.0],
+                            rng.uniform(0.0, 1.0, 30)])
+    s, t = rng.uniform(0.02, 1.0, (2, 40))
+    s[:3] = t[:3]                                       # equal times: the diagonal
+    t[3:6] = 0.0                                        # a zero clock
+    u, v = rng.uniform(0.01, 0.99, (2, 40))
+    u[6:10], v[10:14] = (0.0, 1.0, 0.0, 1.0), (1e-12, 5e-13, 1.0, 0.0)  # edges, tail
+    # the gradient needs the times in distinct grid cells past the first
+    far = (np.minimum(s, t) >= 0.01) & (np.abs(np.floor(100 * s) - np.floor(100 * t)) >= 1)
+    far &= (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
+    clocks = np.array([0.0, 0.0, 1.0, 1.0, 0.3, 0.7, 2.0, 1e-300])
+    return {
+        "index_at": (path.index_at, (times,), (np.array([0.5, 1.5, math.nan]),)),
+        "realized_variation": (partial(realized_variation, path), (times,),
+                               (np.array([0.2, -0.1, 1.5]),)),
+        "quarticity": (partial(quarticity, path), (times,), (np.array([0.2, math.nan, 2.0]),)),
+        "copula_estimate": (partial(copula_estimate, path), (s, t, u, v),
+                            (0.3, 0.7, np.array([0.5, 1.5, -1.0]), 0.5)),
+        # row 1's times share a grid cell, row 2's s lies before the first step
+        "variance_estimate": (partial(variance_estimate, path),
+                              (s[far], t[far], u[far], v[far]),
+                              (np.array([0.3, 0.7, 0.001]), np.array([0.6, 0.701, 0.7]),
+                               0.5, 0.5)),
+        "clock_angle": (clock_angle, (clocks, np.array([0.0, 1.0, 1.0, 1.0 + 1e-13, 0.7, 0.3,
+                                                        1.0, 1e-300])),
+                        (np.array([0.3, -0.1, 0.5]), np.array([0.7, 1.0, math.nan]))),
+    }
+
+
+def _element(args, i):
+    return tuple(a.flat[i].item() for a in np.broadcast_arrays(*map(np.asarray, args)))
+
+
+@pytest.mark.parametrize("name", sorted(_elementwise_cases()))
+def test_array_input_matches_scalar_calls(name):
+    """Array arguments give per-element scalar calls' results, and the first
+    failing element decides the error."""
+    fn, args, bad_args = _elementwise_cases()[name]
+    got = fn(*args)
+    want = [fn(*_element(args, i)) for i in range(got.size)]
+    assert {type(w) for w in want} == {int if name == "index_at" else float}
+    want = np.array(want, dtype=got.dtype)
+    if name == "copula_estimate":
+        # one kernel call sets its quadrature from the smallest u*v of all
+        # its cells, so interior values agree within psi's 1e-14 contract;
+        # the exact branches (edges, diagonal, zero clock) to the bit
+        u, v = args[2:]
+        exact = (u * v == 0.0) | (u == 1.0) | (v == 1.0) | (args[0] == args[1]) | (args[1] == 0.0)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        got, want = got[exact], want[exact]
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(Exception) as scalar_error:
+        fn(*_element(bad_args, 1))
+    with pytest.raises(type(scalar_error.value), match=f"^{re.escape(str(scalar_error.value))}$"):
+        fn(*bad_args)
 
 
 def test_overflowing_increments_rejected():
@@ -289,5 +345,15 @@ def test_index_at_guard():
     assert TOY.index_at(2.0 / 3.0) == 2
     # float rounding below a grid point must not lose the increment
     assert TOY.index_at(0.9999999999) == 3
+    assert TOY.index_at(np.int64(1)) == 3
+    assert TOY.index_at(np.float64(1.0 / 3.0)) == 1
     with pytest.raises(ValueError):
         TOY.index_at(1.5)
+    with pytest.raises(ValueError, match=r"^time 1.5 outside \[0, 1.0\]$"):
+        TOY.index_at(np.float64(1.5))
+    with pytest.raises(ValueError, match="^time must be a finite real, got nan$"):
+        TOY.index_at(np.array([0.5, math.nan]))
+    # booleans are not times, as a scalar or an array
+    for bad in (True, False, np.True_, np.array([True, False]), "0.5", None):
+        with pytest.raises(ValueError, match="time must be a finite real"):
+            TOY.index_at(bad)

@@ -10,7 +10,6 @@ import scipy.stats
 
 from hfcopula import experiments
 from hfcopula.estimators import (
-    CopulaQuery,
     copula_estimate,
     interval_bounds,
     quarticity,
@@ -145,11 +144,11 @@ def _full_scenario(spec, n, rep):
 def test_qq_replication_reads_the_full_scenario_prefix():
     """The gates of criteria 5-7 judge the sample the full-horizon layout draws."""
     spec = QqSpec()
-    q = CopulaQuery(s=spec.s, t=spec.t, u=spec.u, v=spec.v)
+    q = (spec.s, spec.t, spec.u, spec.v)
     for rep in range(5):
         scn, i_s, i_t = _full_scenario(spec, spec.n, rep)
         c_true = psi(float(scn.true_T[i_s]), float(scn.true_T[i_t]), spec.u, spec.v)
-        want = (c_true, copula_estimate(scn.path, q), variance_estimate(scn.path, q), "ok")
+        want = (c_true, copula_estimate(scn.path, *q), variance_estimate(scn.path, *q), "ok")
         assert _qq_replication(spec, rep) == want
 
 
