@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .estimators import CopulaQuery, SampledPath, _is_int, _is_real, estimate_columns
+from .estimators import SampledPath, _is_int, _is_real, boundary_aware_interval
 from .experiments import (
     ContourSpec,
     ExperimentReport,
@@ -38,9 +38,7 @@ from .experiments import (
     run_rho,
     write_report,
 )
-# bound here only for bench/tracing.py, which wraps cli.write_csv and
-# cli.boundary_aware_interval by name
-from .estimators import boundary_aware_interval  # noqa: F401
+# bound here only for bench/tracing.py, which wraps cli.write_csv by name
 from .experiments import write_csv  # noqa: F401
 from .kernel import NearDiagonalError
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
@@ -235,23 +233,19 @@ _QUERY_COLUMNS = ("s", "t", "u", "v")
 
 
 def _read_queries(cfg: dict) -> dict[str, np.ndarray]:
-    """The query columns s, t, u, v and level, each row checked as a CopulaQuery."""
+    """The query columns s, t, u, v and level; boundary_aware_interval checks the rows."""
     if "queries" in cfg:
         cols = _read_columns(cfg["queries"], _QUERY_COLUMNS, optional=("level",))
         if not cols["s"].size:
             raise InputDataError(f"{cfg['queries']}: no query rows")
         cols.setdefault("level", np.full(cols["s"].size, cfg["level"]))
-    else:
-        missing = [k for k in _QUERY_COLUMNS if k not in cfg]
-        if missing:
-            raise ValueError(
-                f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
-            )
-        cols = {c: np.array([cfg[c]]) for c in (*_QUERY_COLUMNS, "level")}
-    # domain violations are validation errors, not data errors
-    for row in zip(*(cols[c].tolist() for c in _QUERY_COLUMNS)):
-        CopulaQuery(*row)
-    return cols
+        return cols
+    missing = [k for k in _QUERY_COLUMNS if k not in cfg]
+    if missing:
+        raise ValueError(
+            f"estimate needs either --queries or all of --s/--t/--u/--v (missing {missing})"
+        )
+    return {c: np.array([cfg[c]]) for c in (*_QUERY_COLUMNS, "level")}
 
 
 _ESTIMATE_COLUMNS = ("s", "t", "u", "v", "level", "c_hat", "v_hat",
@@ -263,13 +257,8 @@ def cmd_estimate(cfg: dict) -> tuple[ExperimentReport, str]:
         raise ValueError("estimate needs --input pointing at a path CSV")
     path = _read_path_csv(cfg["input"])
     queries = _read_queries(cfg)
-    for s, t, lvl in zip(*(queries[c].tolist() for c in ("s", "t", "level"))):
-        if not 0.0 < lvl < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {lvl!r}")
-        if s > path.horizon or t > path.horizon:
-            raise ValueError(f"query ({s!r}, {t!r}) outside the observed horizon {path.horizon!r}")
-
-    est = estimate_columns(path, *(queries[c] for c in (*_QUERY_COLUMNS, "level")))
+    # out-of-range values are validation errors (exit 2), not data errors
+    est = boundary_aware_interval(path, *(queries[c] for c in (*_QUERY_COLUMNS, "level")))
     estimates = {name: queries[name] if name in queries else est[name]
                  for name in _ESTIMATE_COLUMNS}
     rows = queries["s"].size

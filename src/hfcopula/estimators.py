@@ -5,8 +5,8 @@ fourth-power increments once; realized variation, quarticity, the plug-in
 copula estimate, its feasible asymptotic variance, and studentized
 confidence intervals are then O(1) per query.  Each takes its times and
 unit-square points as floats, giving a float, or as broadcastable arrays,
-giving an array; :func:`estimate_columns` composes them for many queries
-at once.
+giving an array; :func:`boundary_aware_interval` composes them for a
+column of queries, checked row by row.
 """
 
 from __future__ import annotations
@@ -20,16 +20,12 @@ from .kernel import _scalar_or_array, grad_psi, ndtri, psi
 
 __all__ = [
     "SampledPath",
-    "CopulaQuery",
-    "CopulaEstimate",
     "realized_variation",
     "quarticity",
     "copula_estimate",
     "variance_estimate",
-    "boundary_aware_interval",
-    "estimate_columns",
-    "variance_quadratic_form",
     "interval_bounds",
+    "boundary_aware_interval",
 ]
 
 # half-ulp guard so that t = k/n computed in floating point truncates to k
@@ -122,44 +118,6 @@ class SampledPath:
         return _scalar_or_array(np.minimum(idx, self.values.size - 1))
 
 
-@dataclass(frozen=True)
-class CopulaQuery:
-    """One (s, t, u, v) evaluation request against a path."""
-
-    s: float
-    t: float
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        _check_real("s", self.s, lo=0.0)
-        _check_real("t", self.t, lo=0.0)
-        _check_real("u", self.u, lo=0.0, hi=1.0, closed=True)
-        _check_real("v", self.v, lo=0.0, hi=1.0, closed=True)
-
-
-@dataclass(frozen=True)
-class CopulaEstimate:
-    """Point estimate with feasible variance and a studentized interval."""
-
-    c_hat: float
-    v_hat: float
-    ci_lo: float
-    ci_hi: float
-    level: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.level < 1.0:
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
-        if not self.v_hat >= 0.0:
-            raise ValueError(f"v_hat must be >= 0, got {self.v_hat!r}")
-        if not (0.0 <= self.ci_lo <= self.c_hat <= self.ci_hi <= 1.0):
-            raise ValueError(
-                f"interval must satisfy 0 <= ci_lo <= c_hat <= ci_hi <= 1, got "
-                f"({self.ci_lo!r}, {self.c_hat!r}, {self.ci_hi!r})"
-            )
-
-
 def realized_variation(path: SampledPath, t):
     """Sum of squared increments over grid times up to each time in ``t``."""
     return _scalar_or_array(path._sq_prefix[path.index_at(t)])
@@ -181,19 +139,6 @@ def copula_estimate(path: SampledPath, s, t, u, v):
     return psi(realized_variation(path, s), realized_variation(path, t), u, v)
 
 
-def variance_quadratic_form(g_t: float, g_s: float, q_t: float, q_s: float) -> float:
-    """2 * (g_t, g_s) M (g_t, g_s)' with M = [[q_t, q_s], [q_s, q_s]], elementwise.
-
-    Requires q_t >= q_s >= 0 (quarticity is nondecreasing), which makes M
-    positive semidefinite; the expansion below is a sum of nonnegative
-    terms, so the result cannot go negative through rounding.
-    """
-    if not np.all((q_t >= q_s) & (q_s >= 0.0)):
-        raise ValueError(f"need q_t >= q_s >= 0, got q_t={q_t!r}, q_s={q_s!r}")
-    g_sum = g_t + g_s
-    return _scalar_or_array(2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t))
-
-
 def variance_estimate(path: SampledPath, s, t, u, v):
     """Feasible asymptotic variance of the plug-in estimate at (s, t, u, v).
 
@@ -202,15 +147,20 @@ def variance_estimate(path: SampledPath, s, t, u, v):
     realized-variation pair, earlier time first, and paired with
     quarticities: the d/dt component with the later time's quarticity.
     Both measures never decrease in time, so the smaller of each pair is
-    the earlier time's.  Past the times' checks, errors come from
-    :func:`~hfcopula.kernel.grad_psi`: ValueError unless u and v lie
+    the earlier time's.  The variance is 2 g'Mg with g = (d/dt, d/ds) and
+    M = [[q_hi, q_lo], [q_lo, q_lo]], where q_hi >= q_lo >= 0 makes M
+    positive semidefinite; it is expanded as a sum of nonnegative terms, so
+    rounding cannot make it negative.  Past the times' checks, errors come
+    from :func:`~hfcopula.kernel.grad_psi`: ValueError unless u and v lie
     strictly inside (0, 1), NearDiagonalError when the realized variations
     (nearly) coincide, and ValueError when the smaller one is zero.
     """
     rv_s, rv_t = realized_variation(path, s), realized_variation(path, t)
     q_s, q_t = quarticity(path, s), quarticity(path, t)
     g_t, g_s = grad_psi(np.minimum(rv_s, rv_t), np.maximum(rv_s, rv_t), u, v)
-    return variance_quadratic_form(g_t, g_s, np.maximum(q_s, q_t), np.minimum(q_s, q_t))
+    q_lo, q_hi = np.minimum(q_s, q_t), np.maximum(q_s, q_t)
+    g_sum = g_t + g_s
+    return _scalar_or_array(2.0 * (q_lo * g_sum * g_sum + (q_hi - q_lo) * g_t * g_t))
 
 
 def interval_bounds(c_hat, v_hat, n: int, u, v, level):
@@ -233,8 +183,8 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level):
     return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
 
 
-def estimate_columns(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarray]:
-    """Plug-in estimates with studentized intervals, for many queries in one pass.
+def boundary_aware_interval(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarray]:
+    """Plug-in estimates with studentized confidence intervals, one row per query.
 
     ``s``, ``t``, ``u``, ``v`` and ``level`` are floats or broadcastable 1-d
     arrays, one element per query.  Returns the 1-d columns ``c_hat``,
@@ -244,13 +194,28 @@ def estimate_columns(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarr
     :func:`interval_bounds`.  At u or v in {0, 1} the copula value is forced
     by the axioms, so the row is exact, with v_hat = 0 and a point interval.
 
-    Errors are those of the functions called, each check taking the rows in
-    order, so the first failing row decides it: the times, then u and v,
-    then the gradient's domain (ValueError, or NearDiagonalError where the
-    realized variations coincide), and last :class:`CopulaEstimate` for the
-    level and the interval.
+    Every row is checked first: times real and in (0, horizon], u and v in
+    [0, 1], level in (0, 1); booleans and NaN fail.  The first failing row,
+    and in it the first failing field, raises ValueError.  Then the
+    gradient's domain is checked in row order (ValueError, or
+    NearDiagonalError where the realized variations coincide), and last the
+    output: v_hat >= 0 and 0 <= ci_lo <= c_hat <= ci_hi <= 1 (ValueError).
     """
-    s, t, u, v, level = np.broadcast_arrays(*map(np.atleast_1d, (s, t, u, v, level)))
+    # per field: the test its values must pass, and the interval it states
+    time = (lambda x: (x > 0.0) & (x <= path.horizon), f"(0, horizon] = (0, {path.horizon!r}]")
+    unit = (lambda x: (x >= 0.0) & (x <= 1.0), "[0, 1]")
+    checks = {"s": time, "t": time, "u": unit, "v": unit,
+              "level": (lambda x: (x > 0.0) & (x < 1.0), "(0, 1)")}
+    cols = dict(zip(checks, np.broadcast_arrays(*map(np.atleast_1d, (s, t, u, v, level)))))
+    bad = np.array([~checks[name][0](col.astype(float)) if col.dtype.kind in "iuf"
+                    else np.ones(col.shape, bool) for name, col in cols.items()])
+    if np.any(bad):
+        row = int(np.flatnonzero(bad.any(axis=0))[0])
+        name = list(checks)[int(np.argmax(bad[:, row]))]
+        raise ValueError(f"query row {row + 1}: {name} must be a finite real in "
+                         f"{checks[name][1]}, got {cols[name][row].item()!r}")
+    s, t, u, v, level = (col.astype(float) for col in cols.values())
+
     c_hat = copula_estimate(path, s, t, u, v)
     v_hat = np.zeros(c_hat.shape)
     ci_lo = c_hat.copy()
@@ -260,25 +225,14 @@ def estimate_columns(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarr
         v_hat[inner] = variance_estimate(path, s[inner], t[inner], u[inner], v[inner])
         c_hat[inner], ci_lo[inner], ci_hi[inner] = interval_bounds(
             c_hat[inner], v_hat[inner], path.n, u[inner], v[inner], level[inner])
-    valid = ((level > 0.0) & (level < 1.0) & (v_hat >= 0.0) & (0.0 <= ci_lo)
-             & (ci_lo <= c_hat) & (c_hat <= ci_hi) & (ci_hi <= 1.0))
+    valid = ((v_hat >= 0.0) & (0.0 <= ci_lo) & (ci_lo <= c_hat) & (c_hat <= ci_hi)
+             & (ci_hi <= 1.0))
     if not np.all(valid):
         i = int(np.flatnonzero(~valid)[0])
-        # raises, with the row's values
-        CopulaEstimate(c_hat=float(c_hat[i]), v_hat=float(v_hat[i]), ci_lo=float(ci_lo[i]),
-                       ci_hi=float(ci_hi[i]), level=float(level[i]))
+        raise ValueError(
+            f"query row {i + 1}: need v_hat >= 0 and 0 <= ci_lo <= c_hat <= ci_hi <= 1, got "
+            f"v_hat={v_hat[i].item()!r}, (ci_lo, c_hat, ci_hi) = "
+            f"({ci_lo[i].item()!r}, {c_hat[i].item()!r}, {ci_hi[i].item()!r})"
+        )
     return {"c_hat": c_hat, "v_hat": v_hat, "ci_lo": ci_lo, "ci_hi": ci_hi,
             "rv_s": realized_variation(path, s), "rv_t": realized_variation(path, t)}
-
-
-def boundary_aware_interval(path: SampledPath, q: CopulaQuery, level: float) -> CopulaEstimate:
-    """Plug-in estimate with a studentized confidence interval at ``level``.
-
-    The one-row case of :func:`estimate_columns`: at u or v in {0, 1} the
-    interval collapses to the exact value, and a ``level`` outside (0, 1)
-    raises ValueError.
-    """
-    est = estimate_columns(path, q.s, q.t, q.u, q.v, level)
-    return CopulaEstimate(c_hat=float(est["c_hat"][0]), v_hat=float(est["v_hat"][0]),
-                          ci_lo=float(est["ci_lo"][0]), ci_hi=float(est["ci_hi"][0]),
-                          level=level)

@@ -26,21 +26,12 @@ from .estimators import (
     _grid_index,
     copula_estimate,
     interval_bounds,
-    quarticity,
     realized_variation,
     variance_estimate,
-    variance_quadratic_form,
 )
-from .kernel import (
-    NearDiagonalError,
-    clock_angle,
-    grad_psi_grid,
-    ndtr,
-    ndtri,
-    psi,
-    psi_grid,
-    sup_difference,
-)
+from .kernel import NearDiagonalError, clock_angle, ndtr, ndtri, psi, psi_grid, sup_difference
+# bound here only for bench/tracing.py, which wraps experiments.grad_psi_grid by name
+from .kernel import grad_psi_grid  # noqa: F401
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 __all__ = [
@@ -306,20 +297,18 @@ def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray
     i_t = path.index_at(spec.t)
 
     c_true = psi_grid(float(scn.true_T[i_s]), float(scn.true_T[i_t]), ug, ug)
-    rv_s = realized_variation(path, spec.s)
-    rv_t = realized_variation(path, spec.t)
-    c_hat = psi_grid(rv_s, rv_t, ug, ug)
+    c_hat = copula_estimate(path, spec.s, spec.t, ug[:, None], ug[None, :])
 
+    ui = ug[1:-1]
     try:
-        g_t, g_s = grad_psi_grid(rv_s, rv_t, ug, ug)
+        v_inner = variance_estimate(path, spec.s, spec.t, ui[:, None], ui[None, :])
     except NearDiagonalError:
         # realized variations coincide: no interval exists at interior cells
         # for this replication
-        v_grid = np.full(c_hat.shape, np.nan)
-    else:
-        # the spec has s < t, so the d/dt component pairs with t's quarticity
-        v_grid = variance_quadratic_form(g_t, g_s, quarticity(path, spec.t),
-                                         quarticity(path, spec.s))
+        v_inner = np.nan
+    # NaN on the boundary too, where the interval is the point c_hat
+    v_grid = np.full(c_hat.shape, np.nan)
+    v_grid[1:-1, 1:-1] = v_inner
     center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :], spec.level)
 
     # the interval is a point on the boundary of the unit square

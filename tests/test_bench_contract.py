@@ -52,3 +52,29 @@ def test_tracer_records_emit_span_for_simulate(tmp_path):
     emits = [span for span in tracer.spans if span[tracing.NAME] == "emit"]
     assert len(emits) == 1
     assert emits[0][tracing.EXTRA] == sum(p.stat().st_size for p in tmp_path.iterdir())
+
+
+def test_tracer_records_one_query_span_per_estimate_call(tmp_path):
+    """``--command estimate`` makes one ``boundary_aware_interval`` call, which
+    holds the kernel's value and gradient calls."""
+    sim = tmp_path / "sim"
+    assert cli.main(["--command", "simulate", "--n", "100", "--out", str(sim)]) == 0
+    queries = tmp_path / "q.csv"
+    queries.write_text("s,t,u,v\n0.3,0.7,0.5,0.5\n0.2,0.8,0.0,0.4\n", encoding="utf-8")
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for k in range(2):
+            assert cli.main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
+                             "--queries", str(queries), "--out", str(tmp_path / f"o{k}")]) == 0
+    finally:
+        tracer.uninstall()
+    names = [span[tracing.NAME] for span in tracer.spans]
+    queries_at = [i for i, name in enumerate(names) if name == "query"]
+    assert len(queries_at) == 2
+    for i in queries_at:
+        inside = sorted(names[j] for j, span in enumerate(tracer.spans)
+                        if span[tracing.PARENT] == i)
+        assert inside == ["grad_psi", "psi"]
+    assert tracing.layer_metrics(tracer)["estimators.query_calls"] == 2

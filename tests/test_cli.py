@@ -12,7 +12,7 @@ import pytest
 
 from hfcopula import cli, experiments
 from hfcopula.cli import main
-from hfcopula.estimators import CopulaQuery, SampledPath, boundary_aware_interval
+from hfcopula.estimators import SampledPath, boundary_aware_interval
 
 
 def _read_csv(path):
@@ -118,11 +118,9 @@ def test_estimate_round_trip(tmp_path):
     sim_rows = _read_csv(sim / "scenario.csv")
     values = np.array([float(r["X"]) for r in sim_rows])
     path = SampledPath(values=values, n=400, horizon=1.0)
-    ref = boundary_aware_interval(path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
-    assert float(row["c_hat"]) == ref.c_hat
-    assert float(row["v_hat"]) == ref.v_hat
-    assert float(row["ci_lo"]) == ref.ci_lo
-    assert float(row["ci_hi"]) == ref.ci_hi
+    ref = boundary_aware_interval(path, 0.3, 0.7, 0.7, 0.3, 0.95)
+    for key in ("c_hat", "v_hat", "ci_lo", "ci_hi", "rv_s", "rv_t"):
+        assert [float(row[key])] == ref[key].tolist()
 
 
 def test_estimate_boundary_query_zero_width(tmp_path):
@@ -352,6 +350,29 @@ def test_estimate_first_failing_row_decides_exit(tmp_path, capsys, rows, code, m
     assert main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
                  "--queries", str(queries), "--out", str(out)]) == code
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0.3,0.7,0.5,0.5,1.5\n0.3,0.7,2.0,0.5,0.9\n",
+     "query row 1: level must be a finite real in (0, 1), got 1.5"),
+    ("0.3,0.7,2.0,0.5,1.5\n0.3,0.7,0.5,0.5,1.5\n",
+     "query row 1: u must be a finite real in [0, 1], got 2.0"),
+    ("0.3,0.7,0.5,0.5,0.9\n0.3,1.5,0.5,0.5,0.9\n0.3,0.7,nan,0.5,0.9\n",
+     "query row 2: t must be a finite real in (0, horizon] = (0, 1.0], got 1.5"),
+])
+def test_estimate_first_bad_query_row_decides_message(tmp_path, capsys, rows, message):
+    """One check per row over all of its fields: the first bad row in file
+    order, and its first bad field, is the one reported."""
+    sim = tmp_path / "sim"
+    main(["--command", "simulate", "--n", "100", "--out", str(sim)])
+    queries = tmp_path / "q.csv"
+    queries.write_text("s,t,u,v,level\n" + rows, encoding="utf-8")
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main(["--command", "estimate", "--input", str(sim / "scenario.csv"),
+                 "--queries", str(queries), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

@@ -8,21 +8,18 @@ from functools import partial
 import numpy as np
 import pytest
 
+from hfcopula import estimators
 from hfcopula.estimators import (
-    CopulaEstimate,
-    CopulaQuery,
     SampledPath,
     boundary_aware_interval,
     copula_estimate,
-    estimate_columns,
     interval_bounds,
     quarticity,
     realized_variation,
     variance_estimate,
-    variance_quadratic_form,
 )
-from hfcopula.kernel import NearDiagonalError, clock_angle
-from hfcopula.simulate import ConstantVol, SimConfig, simulate_scenario
+from hfcopula.kernel import NearDiagonalError, clock_angle, grad_psi
+from hfcopula.simulate import DEFAULT_CIR, ConstantVol, SimConfig, simulate_scenario
 
 # worked example: increments 0.1, -0.2, 0.3 at n = 3
 TOY = SampledPath(values=np.array([0.0, 0.1, -0.1, 0.2]), n=3, horizon=1.0)
@@ -95,13 +92,24 @@ def test_copula_estimate_sigma_one():
 
 
 def test_variance_quadratic_form():
-    assert variance_quadratic_form(0.4, -0.2, 0.0, 0.0) == 0.0
-    with pytest.raises(ValueError):
-        variance_quadratic_form(0.4, -0.2, 0.5, 0.7)  # q_t < q_s
-    # matches 2 * (g' M g) computed longhand
-    g_t, g_s, q_t, q_s = 0.3, -0.1, 0.9, 0.4
+    """variance_estimate is 2 g'Mg, g the kernel gradient at the realized variations
+    and M = [[q_late, q_early], [q_early, q_early]], whichever time comes first."""
+    path = simulate_scenario(DEFAULT_CIR, SimConfig(n=2000, seed=4)).path
+    rng = np.random.default_rng(5)
+    s, t = rng.uniform(0.05, 1.0, (2, 200))
+    keep = np.abs(s - t) > 0.05
+    s, t = s[keep], t[keep]
+    u, v = rng.uniform(0.02, 0.98, (2, s.size))
+    got = variance_estimate(path, s, t, u, v)
+    early, late = np.minimum(s, t), np.maximum(s, t)
+    g_t, g_s = grad_psi(realized_variation(path, early), realized_variation(path, late), u, v)
+    q_t, q_s = quarticity(path, late), quarticity(path, early)
     longhand = 2.0 * (q_t * g_t * g_t + 2.0 * q_s * g_t * g_s + q_s * g_s * g_s)
-    assert variance_quadratic_form(g_t, g_s, q_t, q_s) == pytest.approx(longhand, rel=1e-15)
+    # the longhand's middle term cancels, so bound the error by the terms' size
+    terms = 2.0 * (q_t * g_t * g_t + 2.0 * q_s * np.abs(g_t * g_s) + q_s * g_s * g_s)
+    assert np.all(np.abs(got - longhand) <= 1e-15 * terms)
+    assert np.all(got > 0.0)
+    assert variance_estimate(path, t, s, u, v).tobytes() == got.tobytes()
 
 
 def test_variance_vanishing_u():
@@ -177,26 +185,35 @@ def test_interval_degenerate_variance():
     assert lo == center == hi == 0.42
 
 
+def _one_row(path, s, t, u, v, level):
+    """The single row of a one-query call, as floats."""
+    est = boundary_aware_interval(path, s, t, u, v, level)
+    assert {col.shape for col in est.values()} == {(1,)}
+    return {key: col.item() for key, col in est.items()}
+
+
 def test_boundary_aware_interval_interior_fields():
     scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=2000, seed=5))
-    est = boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.7, v=0.3), 0.95)
-    assert isinstance(est, CopulaEstimate)
-    assert 0.0 <= est.ci_lo <= est.c_hat <= est.ci_hi <= 1.0
-    assert est.v_hat > 0.0
-    assert est.level == 0.95
+    est = _one_row(scn.path, 0.3, 0.7, 0.7, 0.3, 0.95)
+    assert set(est) == {"c_hat", "v_hat", "ci_lo", "ci_hi", "rv_s", "rv_t"}
+    assert 0.0 <= est["ci_lo"] <= est["c_hat"] <= est["ci_hi"] <= 1.0
+    assert est["v_hat"] > 0.0
+    assert est["rv_s"] == realized_variation(scn.path, 0.3)
+    assert est["rv_t"] == realized_variation(scn.path, 0.7)
 
 
 def test_boundary_aware_interval():
     scn = simulate_scenario(ConstantVol(1.0), SimConfig(n=2000, seed=5))
-    est = boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.0, v=0.3), 0.95)
-    assert est.c_hat == est.ci_lo == est.ci_hi == 0.0
-    assert est.v_hat == 0.0
-    est = boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=0.4, v=1.0), 0.95)
-    assert est.c_hat == est.ci_lo == est.ci_hi
-    assert est.c_hat == 0.4  # v = 1 pins the copula to u
+    est = _one_row(scn.path, 0.3, 0.7, 0.0, 0.3, 0.95)
+    assert est["c_hat"] == est["ci_lo"] == est["ci_hi"] == 0.0
+    assert est["v_hat"] == 0.0
+    est = _one_row(scn.path, 0.3, 0.7, 0.4, 1.0, 0.95)
+    assert est["c_hat"] == est["ci_lo"] == est["ci_hi"]
+    assert est["c_hat"] == 0.4  # v = 1 pins the copula to u
     for u in (0.0, 0.7):
-        with pytest.raises(ValueError, match="level must lie in"):
-            boundary_aware_interval(scn.path, CopulaQuery(s=0.3, t=0.7, u=u, v=0.3), 1.5)
+        with pytest.raises(ValueError, match=r"^query row 1: level must be a finite real in "
+                                             r"\(0, 1\), got 1.5$"):
+            boundary_aware_interval(scn.path, 0.3, 0.7, u, 0.3, 1.5)
 
 
 def _mixed_queries(path):
@@ -213,25 +230,24 @@ def _mixed_queries(path):
     return s, t, u, v
 
 
-def test_estimate_columns_match_per_row_intervals():
-    """Each row of the columnar pass is the one-row estimate, to rounding."""
+def test_boundary_aware_interval_rows_match_one_row_calls():
+    """Each row of a many-query call is the one-query estimate, to rounding."""
     path = simulate_scenario(ConstantVol(1.0), SimConfig(n=5000, seed=3)).path
     s, t, u, v = _mixed_queries(path)
     level = np.where(np.arange(s.size) % 2, 0.9, 0.99)
-    est = estimate_columns(path, s, t, u, v, level)
+    est = boundary_aware_interval(path, s, t, u, v, level)
     assert set(est) == {"c_hat", "v_hat", "ci_lo", "ci_hi", "rv_s", "rv_t"}
     for i in range(s.size):
-        ref = boundary_aware_interval(
-            path, CopulaQuery(float(s[i]), float(t[i]), float(u[i]), float(v[i])),
-            float(level[i]))
-        assert est["rv_s"][i] == realized_variation(path, float(s[i]))
-        assert est["rv_t"][i] == realized_variation(path, float(t[i]))
+        ref = _one_row(path, float(s[i]), float(t[i]), float(u[i]), float(v[i]),
+                       float(level[i]))
+        assert est["rv_s"][i] == realized_variation(path, float(s[i])) == ref["rv_s"]
+        assert est["rv_t"][i] == realized_variation(path, float(t[i])) == ref["rv_t"]
         for key in ("c_hat", "v_hat", "ci_lo", "ci_hi"):
-            want = getattr(ref, key)
+            want = ref[key]
             assert abs(est[key][i] - want) <= 1e-14 * want, (i, key)
         if u[i] in (0.0, 1.0) or v[i] in (0.0, 1.0):
             assert est["v_hat"][i] == 0.0
-            assert est["ci_lo"][i] == est["c_hat"][i] == est["ci_hi"][i] == ref.c_hat
+            assert est["ci_lo"][i] == est["c_hat"][i] == est["ci_hi"][i] == ref["c_hat"]
     # and the scalar kernel route, one query at a time, agrees on every row
     for i in range(s.size):
         q = (float(s[i]), float(t[i]), float(u[i]), float(v[i]))
@@ -242,19 +258,44 @@ def test_estimate_columns_match_per_row_intervals():
             assert abs(est["v_hat"][i] - want) <= 1e-14 * want
 
 
-def test_estimate_columns_errors_follow_row_order():
+def test_boundary_aware_interval_errors_follow_row_order():
     path = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=3)).path
     # row 1: both times in one grid cell (coincide); row 2: s before the first step
     s, t = np.array([0.3, 0.7, 0.001]), np.array([0.6, 0.701, 0.7])
     with pytest.raises(NearDiagonalError, match="coincide"):
-        estimate_columns(path, s, t, 0.5, 0.5, 0.95)
+        boundary_aware_interval(path, s, t, 0.5, 0.5, 0.95)
     with pytest.raises(ValueError, match="s > 0"):
-        estimate_columns(path, s[::-1], t[::-1], 0.5, 0.5, 0.95)
-    with pytest.raises(ValueError, match="time 1.5 outside"):
-        estimate_columns(path, np.array([0.3, 1.5]), 0.7, 0.5, 0.5, 0.95)
-    # a boundary row's level is checked with the interval, as for one row
-    with pytest.raises(ValueError, match="level must lie in .* got 1.5"):
-        estimate_columns(path, 0.3, 0.7, np.array([0.5, 0.0]), 0.5, np.array([0.9, 1.5]))
+        boundary_aware_interval(path, s[::-1], t[::-1], 0.5, 0.5, 0.95)
+    with pytest.raises(ValueError, match=r"^query row 2: s must be a finite real in "
+                                         r"\(0, horizon\] = \(0, 1.0\], got 1.5$"):
+        boundary_aware_interval(path, np.array([0.3, 1.5]), 0.7, 0.5, 0.5, 0.95)
+    # a boundary row's level is checked with the others, before any estimate
+    with pytest.raises(ValueError, match="^query row 2: level .* got 1.5$"):
+        boundary_aware_interval(path, 0.3, 0.7, np.array([0.5, 0.0]), 0.5, np.array([0.9, 1.5]))
+    # the row check precedes the gradient's domain, whatever the rows' order
+    with pytest.raises(ValueError, match="^query row 3: u .* got 2.0$"):
+        boundary_aware_interval(path, s, t, np.array([0.5, 0.5, 2.0]), 0.5, 0.95)
+
+
+def test_output_invariants_name_the_row(monkeypatch):
+    path = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=3)).path
+    u = np.array([0.0, 0.5, 0.6])
+
+    def negative_variance(path, s, t, u, v):
+        return np.full(np.shape(u), -1.0)
+
+    monkeypatch.setattr(estimators, "variance_estimate", negative_variance)
+    monkeypatch.setattr(estimators, "interval_bounds", lambda c, *args: (c, c, c))
+    with pytest.raises(ValueError, match=r"^query row 2: need v_hat >= 0 .* got v_hat=-1.0,"):
+        boundary_aware_interval(path, 0.3, 0.7, u, 0.5, 0.95)
+    monkeypatch.undo()
+
+    def reversed_interval(c, v_hat, n, u, v, level):
+        return c, c + 0.01, c - 0.01
+
+    monkeypatch.setattr(estimators, "interval_bounds", reversed_interval)
+    with pytest.raises(ValueError, match=r"^query row 2: need .* ci_lo <= c_hat <= ci_hi"):
+        boundary_aware_interval(path, 0.3, 0.7, u, 0.5, 0.95)
 
 
 def _elementwise_cases():
@@ -326,18 +367,24 @@ def test_overflowing_increments_rejected():
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        CopulaQuery(s=0.0, t=0.7, u=0.5, v=0.5)
-    with pytest.raises(ValueError):
-        CopulaQuery(s=0.3, t=0.7, u=1.2, v=0.5)
-    with pytest.raises(ValueError):
-        CopulaQuery(s=0.3, t=True, u=0.5, v=0.5)
-    with pytest.raises(ValueError):
-        CopulaQuery(s=0.3, t=0.7, u=0.5, v=True)
-    with pytest.raises(ValueError):
-        CopulaEstimate(c_hat=0.5, v_hat=-1.0, ci_lo=0.4, ci_hi=0.6, level=0.95)
-    with pytest.raises(ValueError):
-        CopulaEstimate(c_hat=0.5, v_hat=0.1, ci_lo=0.6, ci_hi=0.4, level=0.95)
+    """The first bad field of a row decides the message, which prints a plain value."""
+    path = simulate_scenario(ConstantVol(1.0), SimConfig(n=100, seed=3)).path
+    time, unit = "a finite real in (0, horizon] = (0, 1.0]", "a finite real in [0, 1]"
+    for query, message in [
+        ((0.0, 0.7, 0.5, 0.5, 0.95), f"s must be {time}, got 0.0"),
+        ((0.3, 0.7, 1.2, 0.5, 0.95), f"u must be {unit}, got 1.2"),
+        ((0.3, True, 0.5, 0.5, 0.95), f"t must be {time}, got True"),
+        ((0.3, 0.7, 0.5, True, 0.95), f"v must be {unit}, got True"),
+        ((0.3, math.nan, 2.0, 0.5, 0.95), f"t must be {time}, got nan"),
+        ((0.3, 0.7, -math.inf, 0.5, 0.95), f"u must be {unit}, got -inf"),
+        ((0.3, 0.7, 0.5, 0.5, 1.0), "level must be a finite real in (0, 1), got 1.0"),
+        ((0.3, 0.7, 0.5, 0.5, "0.9"), "level must be a finite real in (0, 1), got '0.9'"),
+        ((np.float64(0.3), np.int64(2), 0.5, 0.5, 0.95), f"t must be {time}, got 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^query row 1: {re.escape(message)}$"):
+            boundary_aware_interval(path, *query)
+    # integers are reals
+    assert boundary_aware_interval(path, 0.3, 1, 0.5, 1, 0.95)["c_hat"].tolist() == [0.5]
 
 
 def test_index_at_guard():

@@ -15,7 +15,6 @@ from hfcopula.estimators import (
     quarticity,
     realized_variation,
     variance_estimate,
-    variance_quadratic_form,
 )
 from hfcopula.experiments import (
     ContourSpec,
@@ -163,9 +162,12 @@ def test_contour_replication_reads_the_full_scenario_prefix():
             path = scn.path
             rv_s, rv_t = realized_variation(path, spec.s), realized_variation(path, spec.t)
             c_hat = psi_grid(rv_s, rv_t, ug, ug)
+            # 2 g'Mg with M = [[q_t, q_s], [q_s, q_s]], summed as q_s (g_t + g_s)^2
+            # + (q_t - q_s) g_t^2 for the library's bits; NaN off the interior
             g_t, g_s = grad_psi_grid(rv_s, rv_t, ug, ug)
-            v_grid = variance_quadratic_form(g_t, g_s, quarticity(path, spec.t),
-                                             quarticity(path, spec.s))
+            q_t, q_s = quarticity(path, spec.t), quarticity(path, spec.s)
+            g_sum = g_t + g_s
+            v_grid = 2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t)
             center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :],
                                              spec.level)
             want = (psi_grid(float(scn.true_T[i_s]), float(scn.true_T[i_t]), ug, ug), c_hat,
@@ -214,7 +216,7 @@ def test_contour_propagates_plain_value_errors(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("not a diagonal failure")
 
-    monkeypatch.setattr(experiments, "grad_psi_grid", broken)
+    monkeypatch.setattr(experiments, "variance_estimate", broken)
     with pytest.raises(ValueError, match="not a diagonal failure"):
         run_contour(ContourSpec(n_list=(100,), uv_grid=5, vol=ConstantVol(1.0)))
 
@@ -223,7 +225,7 @@ def test_contour_near_diagonal_replication_fails_interior_cells(monkeypatch):
     def near_diagonal(*args, **kwargs):
         raise NearDiagonalError("clock values coincide")
 
-    monkeypatch.setattr(experiments, "grad_psi_grid", near_diagonal)
+    monkeypatch.setattr(experiments, "variance_estimate", near_diagonal)
     rep = run_contour(ContourSpec(n_list=(100,), uv_grid=5, vol=ConstantVol(1.0)))
     failed = rep.tables["contour_n100"]["n_failed"].reshape(5, 5)
     assert np.all(failed[1:-1, 1:-1] == 1)
