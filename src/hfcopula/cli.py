@@ -32,6 +32,7 @@ from .experiments import (
     ExperimentReport,
     QqSpec,
     RhoSpec,
+    _COMMANDS,
     _vol_dict,
     run_contour,
     run_qq,
@@ -44,8 +45,6 @@ from .kernel import NearDiagonalError
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 __all__ = ["main"]
-
-_COMMANDS = ("simulate", "estimate", "contour", "qq", "rho")
 
 # flags that only the command line takes; every other flag's key may also
 # be set in a config file

@@ -29,9 +29,10 @@ from .estimators import (
     realized_variation,
     variance_estimate,
 )
-from .kernel import NearDiagonalError, clock_angle, ndtr, ndtri, psi, psi_grid, sup_difference
-# bound here only for bench/tracing.py, which wraps experiments.grad_psi_grid by name
-from .kernel import grad_psi_grid  # noqa: F401
+from .kernel import NearDiagonalError, clock_angle, ndtr, ndtri, psi_grid, sup_difference
+# bound here only for bench/tracing.py, which wraps experiments.grad_psi_grid and
+# experiments.psi by name
+from .kernel import grad_psi_grid, psi  # noqa: F401
 from .simulate import DEFAULT_CIR, CirParams, ConstantVol, SimConfig, simulate_scenario
 
 __all__ = [
@@ -47,6 +48,9 @@ __all__ = [
     "write_report",
     "write_csv",
 ]
+
+# the commands of the CLI, each of which names the *_meta.json of its report
+_COMMANDS = ("simulate", "estimate", "contour", "qq", "rho")
 
 
 def _check_spec(spec) -> None:
@@ -170,7 +174,7 @@ class ExperimentReport:
     metadata: dict
 
     def __post_init__(self) -> None:
-        if self.kind not in ("simulate", "estimate", "contour", "qq", "rho"):
+        if self.kind not in _COMMANDS:
             raise ValueError(f"unknown report kind {self.kind!r}")
         for tname, cols in self.tables.items():
             lengths = {name: len(arr) for name, arr in cols.items()}
@@ -205,42 +209,64 @@ def _map_replications(fn, count: int, workers: int) -> list:
         return list(ex.map(fn, range(count), chunksize=chunk))
 
 
-# --- qq ---------------------------------------------------------------------
+# --- replications -----------------------------------------------------------
 
-def _qq_replication(spec: QqSpec, rep: int) -> tuple[float, float, float, str]:
-    cfg = SimConfig(n=spec.n, horizon=spec.horizon, substeps=spec.substeps,
+def _scenario(spec, n: int, rep: int, through: float | None = None):
+    """Replication ``rep``'s scenario at ``n``: seed ``spec.seed + rep``, up to ``through``."""
+    cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
                     seed=spec.seed + rep)
-    # nothing past t is read, and the spec has s < t <= horizon
-    scn = simulate_scenario(spec.vol, cfg, through=spec.t)
-    path = scn.path
-    i_s = path.index_at(spec.s)
-    i_t = path.index_at(spec.t)
-    c_true = psi(float(scn.true_T[i_s]), float(scn.true_T[i_t]), spec.u, spec.v)
-    c_hat = copula_estimate(path, spec.s, spec.t, spec.u, spec.v)
-    try:
-        v_hat = variance_estimate(path, spec.s, spec.t, spec.u, spec.v)
-    except NearDiagonalError:
-        return c_true, c_hat, math.nan, "near_diagonal"
-    if not v_hat > 0.0:
-        return c_true, c_hat, v_hat, "degenerate"
-    return c_true, c_hat, v_hat, "ok"
+    return simulate_scenario(spec.vol, cfg, through=through)
 
+
+def _replication(spec, n: int, u_axis: np.ndarray, v_axis: np.ndarray, rep: int):
+    """``(c_true, c_hat, v_hat)`` of replication ``rep`` on the cells ``u_axis x v_axis``.
+
+    The true copula, the plug-in estimate and its feasible variance at the
+    spec's ``(s, t)``, each of shape ``(len(u_axis), len(v_axis))``.
+    ``v_hat`` is NaN on the boundary of the unit square, where the interval
+    is the point ``c_hat``, and at every cell when the realized variations
+    coincide (NearDiagonalError).
+    """
+    # nothing past t is read, and the spec has s < t <= horizon
+    scn = _scenario(spec, n, rep, through=spec.t)
+    path = scn.path
+    true_s, true_t = scn.true_T[path.index_at([spec.s, spec.t])].tolist()
+    c_true = psi_grid(true_s, true_t, u_axis, v_axis)
+    c_hat = copula_estimate(path, spec.s, spec.t, u_axis[:, None], v_axis[None, :])
+
+    v_hat = np.full(c_hat.shape, np.nan)
+    iu, iv = ((0.0 < axis) & (axis < 1.0) for axis in (u_axis, v_axis))
+    try:
+        v_hat[np.ix_(iu, iv)] = variance_estimate(path, spec.s, spec.t,
+                                                  u_axis[iu][:, None], v_axis[iv][None, :])
+    except NearDiagonalError:
+        # realized variations coincide: this replication has no interval at any cell
+        pass
+    return c_true, c_hat, v_hat
+
+
+# --- qq ---------------------------------------------------------------------
 
 def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
     """Sample the studentized statistic across replications.
 
-    Replications whose variance estimate fails near the diagonal are
-    dropped from the statistic sample and counted in the metadata.
+    Replications whose variance estimate fails near the diagonal, and
+    degenerate ones, whose statistic is not finite, are dropped from the
+    statistic sample and counted in the metadata.
     """
-    rows = _map_replications(partial(_qq_replication, spec), spec.replications, workers)
+    # the 1x1 case of the replication: one cell (u, v)
+    reps = _map_replications(
+        partial(_replication, spec, spec.n, np.array([spec.u]), np.array([spec.v])),
+        spec.replications, workers)
+    c_true, c_hat, v_hat = np.stack(reps, axis=1).reshape(3, spec.replications)
 
-    c_true = np.array([r[0] for r in rows])
-    c_hat = np.array([r[1] for r in rows])
-    v_hat = np.array([r[2] for r in rows])
-    ok = np.array([r[3] == "ok" for r in rows])
-
-    stat = np.full(spec.replications, np.nan)
-    stat[ok] = np.sqrt(spec.n / v_hat[ok]) * (c_hat[ok] - c_true[ok])
+    near_diagonal = np.isnan(v_hat)
+    # a v_hat of 0, or one so small that n / v_hat overflows, gives no
+    # finite statistic: such a replication is degenerate
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        stat = np.sqrt(spec.n / v_hat) * (c_hat - c_true)
+    ok = np.isfinite(stat)
+    stat[~ok] = np.nan
 
     kept = stat[ok]
     order = np.sort(kept)
@@ -250,8 +276,8 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
 
     scaled_err = np.sqrt(spec.n) * (c_hat[ok] - c_true[ok])
     dropped = {
-        "near_diagonal": int(sum(r[3] == "near_diagonal" for r in rows)),
-        "degenerate": int(sum(r[3] == "degenerate" for r in rows)),
+        "near_diagonal": int(near_diagonal.sum()),
+        "degenerate": int((~ok & ~near_diagonal).sum()),
     }
     z975 = ndtri(0.975)
     metadata = {
@@ -286,35 +312,6 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
 
 # --- contour ----------------------------------------------------------------
 
-def _contour_replication(spec: ContourSpec, ug: np.ndarray, interior: np.ndarray,
-                         n: int, rep: int):
-    cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
-                    seed=spec.seed + rep)
-    # nothing past t is read, and the spec has s < t <= horizon
-    scn = simulate_scenario(spec.vol, cfg, through=spec.t)
-    path = scn.path
-    i_s = path.index_at(spec.s)
-    i_t = path.index_at(spec.t)
-
-    c_true = psi_grid(float(scn.true_T[i_s]), float(scn.true_T[i_t]), ug, ug)
-    c_hat = copula_estimate(path, spec.s, spec.t, ug[:, None], ug[None, :])
-
-    ui = ug[1:-1]
-    try:
-        v_inner = variance_estimate(path, spec.s, spec.t, ui[:, None], ui[None, :])
-    except NearDiagonalError:
-        # realized variations coincide: no interval exists at interior cells
-        # for this replication
-        v_inner = np.nan
-    # NaN on the boundary too, where the interval is the point c_hat
-    v_grid = np.full(c_hat.shape, np.nan)
-    v_grid[1:-1, 1:-1] = v_inner
-    center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :], spec.level)
-
-    # the interval is a point on the boundary of the unit square
-    return c_true, c_hat, np.where(interior, lo, center), np.where(interior, hi, center)
-
-
 def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
     """Estimate the copula with confidence bands on a (u, v) grid per n.
 
@@ -330,12 +327,13 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
     tables = {}
     meta_per_n = {}
     for n in spec.n_list:
-        reps = _map_replications(partial(_contour_replication, spec, ug, interior, n),
+        reps = _map_replications(partial(_replication, spec, n, ug, ug),
                                  spec.replications, workers)
-        c_true = np.stack([r[0] for r in reps])
-        c_hat = np.stack([r[1] for r in reps])
-        lo = np.stack([r[2] for r in reps])
-        hi = np.stack([r[3] for r in reps])
+        c_true, c_hat, v_hat = np.stack(reps, axis=1)
+        center, lo, hi = interval_bounds(c_hat, v_hat, n, ug[:, None], ug[None, :], spec.level)
+        # the interval is a point on the boundary of the unit square
+        lo = np.where(interior, lo, center)
+        hi = np.where(interior, hi, center)
 
         valid = ~np.isnan(lo)
         n_valid = valid.sum(axis=0)
@@ -386,9 +384,7 @@ def _sup_distance(true_clock: np.ndarray, realized_clock: np.ndarray,
 
 
 def _rho_replication(spec: RhoSpec, n: int, rep: int) -> float:
-    cfg = SimConfig(n=n, horizon=spec.horizon, substeps=spec.substeps,
-                    seed=spec.seed + rep)
-    scn = simulate_scenario(spec.vol, cfg)
+    scn = _scenario(spec, n, rep)
     path = scn.path
     tg = spec.time_grid()
     return _sup_distance(scn.true_T[path.index_at(tg)], realized_variation(path, tg),

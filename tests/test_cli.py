@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -462,9 +463,12 @@ def test_workers_flag_does_not_change_bytes(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_rho_workers_flag_does_not_change_bytes(tmp_path):
-    base = ["--command", "rho", "--n-list", "100,400", "--replications", "4",
-            "--uv-grid", "11", "--constant-vol", "1.0", "--seed", "3"]
+@pytest.mark.parametrize("base", [
+    ["--command", "rho", "--n-list", "100,400", "--replications", "4", "--uv-grid", "11",
+     "--constant-vol", "1.0", "--seed", "3"],
+    ["--command", "contour", "--n-list", "100,400", "--uv-grid", "11", "--replications", "4"],
+], ids=["rho", "contour"])
+def test_experiment_workers_flag_does_not_change_bytes(tmp_path, base):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(base + ["--workers", "1", "--out", str(a)]) == 0
     assert main(base + ["--workers", "2", "--out", str(b)]) == 0
@@ -472,6 +476,20 @@ def test_rho_workers_flag_does_not_change_bytes(tmp_path):
     assert names == sorted(p.name for p in b.iterdir())
     for name in names:
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_qq_overflowing_statistic_is_degenerate(tmp_path, recwarn):
+    """At k = floor(n*t) - floor(n*s) = 1, replication 533 has v_hat = 5.2e-316."""
+    out = tmp_path / "q"
+    assert main(["--command", "qq", "--n", "100", "--s", "0.3", "--t", "0.31",
+                 "--replications", "5", "--seed", "530", "--constant-vol", "1.0",
+                 "--out", str(out)]) == 0
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    meta = json.loads((out / "qq_meta.json").read_text())
+    assert math.isfinite(meta["mean_statistic"]) and math.isfinite(meta["variance_statistic"])
+    assert meta["kept"] == 3 and meta["dropped"] == {"near_diagonal": 0, "degenerate": 2}
+    stats = [row["statistic"] for row in _read_csv(out / "qq_replications.csv")]
+    assert stats[2] == stats[3] == "nan"
 
 
 @pytest.mark.parametrize("command", ["simulate", "qq"])

@@ -11,7 +11,6 @@ import scipy.stats
 from hfcopula import experiments
 from hfcopula.estimators import (
     copula_estimate,
-    interval_bounds,
     quarticity,
     realized_variation,
     variance_estimate,
@@ -21,9 +20,8 @@ from hfcopula.experiments import (
     ExperimentReport,
     QqSpec,
     RhoSpec,
-    _contour_replication,
     _pool_size,
-    _qq_replication,
+    _replication,
     _rho_replication,
     _sup_distance,
     kde_log,
@@ -141,40 +139,41 @@ def _full_scenario(spec, n, rep):
 
 
 def test_qq_replication_reads_the_full_scenario_prefix():
-    """The gates of criteria 5-7 judge the sample the full-horizon layout draws."""
+    """The gates of criteria 5-7 judge the sample the full-horizon layout draws.
+
+    QQ is the 1x1 case of the replication, and each of its cells has the
+    bits of the scalar calls.
+    """
     spec = QqSpec()
     q = (spec.s, spec.t, spec.u, spec.v)
     for rep in range(5):
         scn, i_s, i_t = _full_scenario(spec, spec.n, rep)
         c_true = psi(float(scn.true_T[i_s]), float(scn.true_T[i_t]), spec.u, spec.v)
-        want = (c_true, copula_estimate(scn.path, *q), variance_estimate(scn.path, *q), "ok")
-        assert _qq_replication(spec, rep) == want
+        want = (c_true, copula_estimate(scn.path, *q), variance_estimate(scn.path, *q))
+        got = _replication(spec, spec.n, np.array([spec.u]), np.array([spec.v]), rep)
+        assert [g.shape for g in got] == [(1, 1)] * 3
+        assert tuple(g.item() for g in got) == want
 
 
 def test_contour_replication_reads_the_full_scenario_prefix():
     spec = ContourSpec(n_list=(100, 1000), replications=3)
     ug = np.linspace(0.0, 1.0, spec.uv_grid)
-    inner = (0.0 < ug) & (ug < 1.0)
-    interior = np.outer(inner, inner)
     for n in spec.n_list:
         for rep in range(spec.replications):
             scn, i_s, i_t = _full_scenario(spec, n, rep)
             path = scn.path
             rv_s, rv_t = realized_variation(path, spec.s), realized_variation(path, spec.t)
-            c_hat = psi_grid(rv_s, rv_t, ug, ug)
             # 2 g'Mg with M = [[q_t, q_s], [q_s, q_s]], summed as q_s (g_t + g_s)^2
             # + (q_t - q_s) g_t^2 for the library's bits; NaN off the interior
             g_t, g_s = grad_psi_grid(rv_s, rv_t, ug, ug)
             q_t, q_s = quarticity(path, spec.t), quarticity(path, spec.s)
             g_sum = g_t + g_s
-            v_grid = 2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t)
-            center, lo, hi = interval_bounds(c_hat, v_grid, n, ug[:, None], ug[None, :],
-                                             spec.level)
-            want = (psi_grid(float(scn.true_T[i_s]), float(scn.true_T[i_t]), ug, ug), c_hat,
-                    np.where(interior, lo, center), np.where(interior, hi, center))
-            got = _contour_replication(spec, ug, interior, n, rep)
+            want = (psi_grid(float(scn.true_T[i_s]), float(scn.true_T[i_t]), ug, ug),
+                    psi_grid(rv_s, rv_t, ug, ug),
+                    2.0 * (q_s * g_sum * g_sum + (q_t - q_s) * g_t * g_t))
+            got = _replication(spec, n, ug, ug, rep)
             for g, w in zip(got, want, strict=True):
-                assert np.array_equal(g, w)
+                assert np.array_equal(g, w, equal_nan=True)
 
 
 def test_contour_boundary_cells_exact():
@@ -232,6 +231,17 @@ def test_contour_near_diagonal_replication_fails_interior_cells(monkeypatch):
     assert failed.sum() == 9
     per_n = rep.metadata["per_n"]["100"]
     assert math.isnan(per_n["mean_interior_width"]) and per_n["failed_cells"] == 9
+
+
+def test_qq_near_diagonal_replications_are_dropped(monkeypatch):
+    def near_diagonal(*args, **kwargs):
+        raise NearDiagonalError("clock values coincide")
+
+    monkeypatch.setattr(experiments, "variance_estimate", near_diagonal)
+    rep = run_qq(QqSpec(n=100, replications=3, vol=ConstantVol(1.0)))
+    assert rep.metadata["dropped"] == {"near_diagonal": 3, "degenerate": 0}
+    assert rep.metadata["kept"] == 0
+    assert np.all(np.isnan(rep.tables["qq_replications"]["statistic"]))
 
 
 def test_spec_rejects_clock_layout_without_gradient():
