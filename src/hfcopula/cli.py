@@ -276,8 +276,8 @@ _PER_N_SUMMARY = {
 def _summary(md: dict) -> str:
     if md["kind"] == "qq":
         return (f"kept={md['kept']} dropped={sum(md['dropped'].values())} "
-                f"ks={md['ks_distance']:.4f} mean={md['mean_statistic']:.4f} "
-                f"var={md['variance_statistic']:.4f}")
+                f"ks={md['ks_distance']:.4f} mean={md['mean_statistic']:.4g} "
+                f"var={md['variance_statistic']:.4g}")
     return "; ".join(f"n={n} " + _PER_N_SUMMARY[md["kind"]].format(**entry)
                      for n, entry in md["per_n"].items())
 

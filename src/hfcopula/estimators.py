@@ -84,13 +84,16 @@ class SampledPath:
             raise ValueError(
                 f"values has length {vals.size}, expected floor(n*horizon)+1 = {expected}"
             )
-        # an overflow is caught below: prefix sums never decrease, so all
-        # are finite if the last one is
+        # the increments are squared, then squared again, in place; an
+        # overflow is caught below: prefix sums never decrease, so all are
+        # finite if the last one is
+        sq, q4 = np.zeros(vals.size), np.zeros(vals.size)
         with np.errstate(over="ignore"):
             d = np.diff(vals)
-            d2 = d * d
-            sq = np.concatenate(([0.0], np.cumsum(d2)))
-            q4 = np.concatenate(([0.0], np.cumsum(d2 * d2)))
+            d *= d
+            np.cumsum(d, out=sq[1:])
+            d *= d
+            np.cumsum(d, out=q4[1:])
         if not math.isfinite(q4[-1]):
             raise ValueError("values' fourth-power increments overflow; rescale the path")
         object.__setattr__(self, "_sq_prefix", sq)

@@ -150,13 +150,16 @@ def simulate_cir(
     c = params.nu ** 2 * (1.0 - decay) / (4.0 * params.kappa)
     df = 4.0 * params.kappa * params.theta / params.nu ** 2
 
-    z = rng.standard_normal(total)
+    # the draws are scaled in place: same products, no scaled copies
+    z = rng.standard_normal(total)[:steps]
+    z *= math.sqrt(c)
     y = rng.chisquare(df - 1.0, steps)
+    y *= c
 
     def path():
         sqrt, x = math.sqrt, params.s0
         yield x
-        for a, b in zip(memoryview(math.sqrt(c) * z[:steps]), memoryview(c * y)):
+        for a, b in zip(memoryview(z), memoryview(y)):
             root = a + sqrt(x * decay)
             x = root * root + b
             yield x
@@ -194,24 +197,27 @@ def simulate_scenario(
 
     vol_rng, drv_rng = derive_streams(config.seed)
     sigma2 = simulate_cir(params, config, rng=vol_rng, steps=total)
-    xi = drv_rng.standard_normal(total)
-    sig_left = np.sqrt(sigma2[:-1])
-    dx = sig_left * xi / math.sqrt(denom)
+    s2 = sigma2[:-1]
+    # two sub-grid buffers: the variance path and one work buffer, which
+    # holds sigma^4, then the driver draws xi, then the increments
+    # dx = sqrt(sigma2) * xi / sqrt(denom), each the same bits as a fresh
+    # array computed by that formula.  Dividing the cumulative sums by the
+    # exact integer denom (rather than multiplying by a rounded 1/denom)
+    # keeps T_{i/n} = i/n exact for sigma2 constant at 1
+    true_t = np.empty(intervals + 1)
+    true_t[0] = 0.0
+    true_t[1:] = np.cumsum(s2.reshape(intervals, m).sum(axis=1)) / denom
+    work = np.multiply(s2, s2)
+    true_q = np.empty(intervals + 1)
+    true_q[0] = 0.0
+    true_q[1:] = np.cumsum(work.reshape(intervals, m).sum(axis=1)) / denom
+    drv_rng.standard_normal(out=work)
+    work *= np.sqrt(s2, out=s2)
+    work /= math.sqrt(denom)
 
     x = np.empty(intervals + 1)
     x[0] = 0.0
-    np.cumsum(dx.reshape(intervals, m).sum(axis=1), out=x[1:])
-
-    s2_left = sigma2[:-1]
-    # dividing the cumulative sums by the exact integer denom (rather than
-    # multiplying by a rounded 1/denom) keeps T_{i/n} = i/n exact for
-    # sigma2 constant at 1
-    true_t = np.empty(intervals + 1)
-    true_t[0] = 0.0
-    true_t[1:] = np.cumsum(s2_left.reshape(intervals, m).sum(axis=1)) / denom
-    true_q = np.empty(intervals + 1)
-    true_q[0] = 0.0
-    true_q[1:] = np.cumsum((s2_left * s2_left).reshape(intervals, m).sum(axis=1)) / denom
+    np.cumsum(work.reshape(intervals, m).sum(axis=1), out=x[1:])
 
     path = SampledPath(values=x, n=config.n, horizon=horizon)
     return SimulatedScenario(path=path, true_T=true_t, true_Q=true_q)

@@ -478,18 +478,29 @@ def test_experiment_workers_flag_does_not_change_bytes(tmp_path, base):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+# one increment in (s, t]: replication 533 has v_hat = 5.2e-316
+_DEGENERATE_QQ = ["--command", "qq", "--n", "100", "--s", "0.3", "--t", "0.31",
+                  "--replications", "5", "--seed", "530", "--constant-vol", "1.0"]
+
+
 def test_qq_overflowing_statistic_is_degenerate(tmp_path, recwarn):
     """At k = floor(n*t) - floor(n*s) = 1, replication 533 has v_hat = 5.2e-316."""
     out = tmp_path / "q"
-    assert main(["--command", "qq", "--n", "100", "--s", "0.3", "--t", "0.31",
-                 "--replications", "5", "--seed", "530", "--constant-vol", "1.0",
-                 "--out", str(out)]) == 0
+    assert main(_DEGENERATE_QQ + ["--out", str(out)]) == 0
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
     meta = json.loads((out / "qq_meta.json").read_text())
     assert math.isfinite(meta["mean_statistic"]) and math.isfinite(meta["variance_statistic"])
     assert meta["kept"] == 3 and meta["dropped"] == {"near_diagonal": 0, "degenerate": 2}
     stats = [row["statistic"] for row in _read_csv(out / "qq_replications.csv")]
     assert stats[2] == stats[3] == "nan"
+
+
+def test_qq_summary_of_a_huge_statistic_stays_short(tmp_path, capsys):
+    """The kept statistics of the degenerate run have a mean of about 1e26."""
+    assert main(_DEGENERATE_QQ + ["--out", str(tmp_path / "q")]) == 0
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.startswith("qq: kept=3 dropped=2 ") and " mean=1.007e+26 " in summary
+    assert len(summary) < 200
 
 
 @pytest.mark.parametrize("command", ["simulate", "qq"])

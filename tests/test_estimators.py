@@ -361,6 +361,18 @@ def test_array_input_matches_scalar_calls(name):
         fn(*bad_args)
 
 
+def test_prefix_sums_are_cumulative_sums_of_powers():
+    rng = np.random.default_rng(8)
+    n = 100_000
+    steps = rng.standard_normal(n) * rng.exponential(size=n) / math.sqrt(n)
+    vals = np.concatenate(([0.0], np.cumsum(steps)))
+    path = SampledPath(values=vals, n=n, horizon=1.0)
+    d = np.diff(vals)
+    d2 = d * d
+    assert path._sq_prefix.tobytes() == np.concatenate(([0.0], np.cumsum(d2))).tobytes()
+    assert path._q4_prefix.tobytes() == np.concatenate(([0.0], np.cumsum(d2 * d2))).tobytes()
+
+
 def test_overflowing_increments_rejected():
     with pytest.raises(ValueError, match="overflow"):
         SampledPath(values=np.array([0.0, 1e80, 0.0, 1.0]), n=3, horizon=1.0)

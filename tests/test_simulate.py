@@ -1,6 +1,7 @@
 """Tests for the CIR variance process and scenario generation."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -262,15 +263,40 @@ def test_driver_stream_independent_of_volatility():
 
 
 def test_vol_stream_is_stream_zero():
-    """The true clock is the left-Riemann sum of the variance path drawn from stream 0."""
+    """The true clock and quarticity are the left-Riemann sums of the variance
+    path drawn from stream 0 and of its square."""
     n, m, seed = 20, 5, 23
     cfg = SimConfig(n=n, substeps=m, seed=seed)
-    params = CirParams(0.5, 1.5, 1.0, 1.5)
-    scn = simulate_scenario(params, cfg)
-    vol_rng, _ = derive_streams(seed)
-    sigma2 = simulate_cir(params, cfg, vol_rng)
-    true_t = np.cumsum(sigma2[:-1].reshape(n, m).sum(axis=1)) / (n * m)
-    np.testing.assert_array_equal(scn.true_T, np.concatenate([[0.0], true_t]))
+    for params in (CirParams(0.5, 1.5, 1.0, 1.5), ConstantVol(0.37)):
+        scn = simulate_scenario(params, cfg)
+        vol_rng, _ = derive_streams(seed)
+        s2 = simulate_cir(params, cfg, vol_rng)[:-1]
+        true_t = np.cumsum(s2.reshape(n, m).sum(axis=1)) / (n * m)
+        np.testing.assert_array_equal(scn.true_T, np.concatenate([[0.0], true_t]))
+        true_q = np.cumsum((s2 * s2).reshape(n, m).sum(axis=1)) / (n * m)
+        np.testing.assert_array_equal(scn.true_Q, np.concatenate([[0.0], true_q]))
+
+
+# One sub-grid buffer holds the n*substeps = 10^5 doubles of n = 10^4.  A
+# scenario keeps two alive, the variance path and one work buffer, and
+# simulate_cir over the whole horizon briefly three (normals, chi-squares,
+# path); the grid-sized arrays add at most 0.62.  So the peaks read 2.62,
+# 2.41 and 3.01 buffers below, and 5.41, 3.81 and 5.41 when every step of
+# the formulas made a fresh sub-grid array.
+@pytest.mark.parametrize("params, through", [
+    (ConstantVol(1.0), None), (DEFAULT_CIR, 0.7), (DEFAULT_CIR, None),
+], ids=["constant", "cir-through", "cir-full"])
+def test_scenario_peak_memory(params, through):
+    cfg = SimConfig(n=10_000, seed=5)
+    # the first call in a process allocates about one buffer of one-time state
+    simulate_scenario(params, SimConfig(n=10), through=through)
+    tracemalloc.start()
+    try:
+        simulate_scenario(params, cfg, through=through)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2 * cfg.intervals * cfg.substeps * 8
 
 
 def test_realized_variation_tracks_true_time_change():
