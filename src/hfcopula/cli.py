@@ -144,6 +144,8 @@ def _resolve(args: argparse.Namespace) -> dict:
         raise ValueError("no command given: use --command or a config file")
     if cfg["command"] not in _COMMANDS:
         raise ValueError(f"unknown command {cfg['command']!r}")
+    if "n_list" in cfg and cfg["command"] in ("simulate", "qq"):
+        raise ValueError(f"{cfg['command']} runs at a single n: set it with --n, not n_list")
     if cfg["workers"] < 1:
         raise ValueError(f"workers must be an integer >= 1, got {cfg['workers']!r}")
     if isinstance(cfg.get("n_list"), str):
@@ -172,8 +174,7 @@ def cmd_simulate(cfg: dict) -> tuple[ExperimentReport, str]:
     values = scn.path.values
     scenario = {"time": np.arange(values.size) / sim.n, "X": values,
                 "true_T": scn.true_T, "true_Q": scn.true_Q}
-    meta = {"command": "simulate", "version": __version__, **asdict(sim),
-            "vol": _vol_dict(vol)}
+    meta = {**asdict(sim), "vol": _vol_dict(vol)}
     return ExperimentReport("simulate", {"scenario": scenario}, meta), f"rows={values.size}"
 
 
@@ -261,8 +262,7 @@ def cmd_estimate(cfg: dict) -> tuple[ExperimentReport, str]:
     estimates = {name: queries[name] if name in queries else est[name]
                  for name in _ESTIMATE_COLUMNS}
     rows = queries["s"].size
-    meta = {"command": "estimate", "version": __version__, "input": cfg["input"],
-            "n": path.n, "horizon": path.horizon, "queries": rows}
+    meta = {"input": cfg["input"], "n": path.n, "horizon": path.horizon, "queries": rows}
     return ExperimentReport("estimate", {"estimates": estimates}, meta), f"rows={rows}"
 
 
@@ -273,12 +273,13 @@ _PER_N_SUMMARY = {
 }
 
 
-def _summary(md: dict) -> str:
-    if md["kind"] == "qq":
+def _summary(report: ExperimentReport) -> str:
+    md = report.metadata
+    if report.kind == "qq":
         return (f"kept={md['kept']} dropped={sum(md['dropped'].values())} "
                 f"ks={md['ks_distance']:.4f} mean={md['mean_statistic']:.4g} "
                 f"var={md['variance_statistic']:.4g}")
-    return "; ".join(f"n={n} " + _PER_N_SUMMARY[md["kind"]].format(**entry)
+    return "; ".join(f"n={n} " + _PER_N_SUMMARY[report.kind].format(**entry)
                      for n, entry in md["per_n"].items())
 
 
@@ -293,7 +294,7 @@ def cmd_experiment(cfg: dict) -> tuple[ExperimentReport, str]:
     if "n_list" in spec_cls.__dataclass_fields__ and "n" in cfg:
         kwargs.setdefault("n_list", (cfg["n"],))
     report = run(spec_cls(**kwargs, vol=_vol_model(cfg)), workers=cfg["workers"])
-    return report, _summary(report.metadata)
+    return report, _summary(report)
 
 
 def main(argv=None) -> int:

@@ -32,9 +32,14 @@ __all__ = [
 _INDEX_GUARD = 1e-9
 
 
-def _grid_index(n: int, t: float) -> int:
-    """floor(n*t), guarding against floating-point misrounding."""
-    return int(math.floor(n * t + _INDEX_GUARD))
+def _grid_index(n: int, t):
+    """floor(n*t), guarding against floating-point misrounding.
+
+    ``t`` is a real, giving an int, or an array of reals, giving an array
+    of indices.
+    """
+    idx = np.floor(n * np.asarray(t, dtype=float) + _INDEX_GUARD)
+    return int(idx) if idx.ndim == 0 else idx.astype(np.intp)
 
 
 # bool is an int subclass, but neither True nor False is a count or a real
@@ -52,13 +57,10 @@ def _check_pos_int(name: str, val, minimum: int = 1) -> int:
     return int(val)
 
 
-def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf,
-                closed: bool = False) -> float:
-    """``val`` as a float, if it is a finite real in (lo, hi), or [lo, hi] if ``closed``."""
-    if not (_is_real(val) and math.isfinite(val)
-            and (lo <= val <= hi if closed else lo < val < hi)):
-        bounds = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
-        raise ValueError(f"{name} must be a finite real in {bounds}, got {val!r}")
+def _check_real(name: str, val, lo: float = -math.inf, hi: float = math.inf) -> float:
+    """``val`` as a float, if it is a finite real in (lo, hi)."""
+    if not (_is_real(val) and math.isfinite(val) and lo < val < hi):
+        raise ValueError(f"{name} must be a finite real in ({lo}, {hi}), got {val!r}")
     return float(val)
 
 
@@ -117,8 +119,7 @@ class SampledPath:
             if not math.isfinite(bad):
                 raise ValueError(f"time must be a finite real, got {bad!r}")
             raise ValueError(f"time {bad!r} outside [0, {self.horizon!r}]")
-        idx = np.floor(self.n * arr + _INDEX_GUARD).astype(np.intp)
-        return _scalar_or_array(np.minimum(idx, self.values.size - 1))
+        return _scalar_or_array(np.minimum(_grid_index(self.n, arr), self.values.size - 1))
 
 
 def realized_variation(path: SampledPath, t):
@@ -170,10 +171,13 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level):
     """Studentized interval endpoints clipped to the Frechet bounds.
 
     Returns (center, lo, hi) where the center is c_hat clipped into the
-    Frechet box (the kernel can overshoot it by its rounding).  ``c_hat``,
-    ``v_hat``, ``u``, ``v`` and ``level`` may be broadcastable arrays; each
-    element gets the same arithmetic as a scalar call.  A ``level`` outside
-    (0, 1) raises ValueError before any quantile is taken.
+    Frechet box (the kernel can overshoot it by its rounding).  Where u or
+    v is 0 or 1 the copula value is forced by the axioms, so the interval
+    is the point (c_hat, c_hat, c_hat), whatever ``v_hat`` is (NaN
+    included).  ``c_hat``, ``v_hat``, ``u``, ``v`` and ``level`` may be
+    broadcastable arrays; each element gets the same arithmetic as a scalar
+    call, and scalars give numpy scalars.  A ``level`` outside (0, 1)
+    raises ValueError before any quantile is taken.
     """
     levels = np.ravel(level)
     outside = ~((levels > 0.0) & (levels < 1.0))
@@ -183,7 +187,9 @@ def interval_bounds(c_hat, v_hat, n: int, u, v, level):
     fre_hi = np.minimum(u, v)
     center = np.clip(c_hat, fre_lo, fre_hi)
     half = ndtri(0.5 * (1.0 + np.asarray(level, dtype=float))) * np.sqrt(v_hat / n)
-    return center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)
+    edge = (u == 0.0) | (u == 1.0) | (v == 0.0) | (v == 1.0)
+    return tuple(np.where(edge, c_hat, end)[()] for end in
+                 (center, np.maximum(center - half, fre_lo), np.minimum(center + half, fre_hi)))
 
 
 def boundary_aware_interval(path: SampledPath, s, t, u, v, level) -> dict[str, np.ndarray]:
@@ -195,7 +201,8 @@ def boundary_aware_interval(path: SampledPath, s, t, u, v, level) -> dict[str, n
     :func:`copula_estimate`, :func:`variance_estimate` and
     :func:`realized_variation` on the whole columns, with the intervals of
     :func:`interval_bounds`.  At u or v in {0, 1} the copula value is forced
-    by the axioms, so the row is exact, with v_hat = 0 and a point interval.
+    by the axioms: the variance is not estimated there, v_hat is 0, and
+    :func:`interval_bounds` gives the point interval.
 
     Every row is checked first: times real and in (0, horizon], u and v in
     [0, 1], level in (0, 1); booleans and NaN fail.  The first failing row,
@@ -221,13 +228,9 @@ def boundary_aware_interval(path: SampledPath, s, t, u, v, level) -> dict[str, n
 
     c_hat = copula_estimate(path, s, t, u, v)
     v_hat = np.zeros(c_hat.shape)
-    ci_lo = c_hat.copy()
-    ci_hi = c_hat.copy()
     inner = (u > 0.0) & (u < 1.0) & (v > 0.0) & (v < 1.0)
-    if np.any(inner):
-        v_hat[inner] = variance_estimate(path, s[inner], t[inner], u[inner], v[inner])
-        c_hat[inner], ci_lo[inner], ci_hi[inner] = interval_bounds(
-            c_hat[inner], v_hat[inner], path.n, u[inner], v[inner], level[inner])
+    v_hat[inner] = variance_estimate(path, s[inner], t[inner], u[inner], v[inner])
+    c_hat, ci_lo, ci_hi = interval_bounds(c_hat, v_hat, path.n, u, v, level)
     valid = ((v_hat >= 0.0) & (0.0 <= ci_lo) & (ci_lo <= c_hat) & (c_hat <= ci_hi)
              & (ci_hi <= 1.0))
     if not np.all(valid):

@@ -281,8 +281,6 @@ def run_qq(spec: QqSpec, workers: int = 1) -> ExperimentReport:
     }
     z975 = ndtri(0.975)
     metadata = {
-        "kind": "qq",
-        "version": __version__,
         "spec": _spec_dict(spec),
         "kept": int(m),
         "dropped": dropped,
@@ -330,10 +328,7 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
         reps = _map_replications(partial(_replication, spec, n, ug, ug),
                                  spec.replications, workers)
         c_true, c_hat, v_hat = np.stack(reps, axis=1)
-        center, lo, hi = interval_bounds(c_hat, v_hat, n, ug[:, None], ug[None, :], spec.level)
-        # the interval is a point on the boundary of the unit square
-        lo = np.where(interior, lo, center)
-        hi = np.where(interior, hi, center)
+        _, lo, hi = interval_bounds(c_hat, v_hat, n, ug[:, None], ug[None, :], spec.level)
 
         valid = ~np.isnan(lo)
         n_valid = valid.sum(axis=0)
@@ -364,8 +359,6 @@ def run_contour(spec: ContourSpec, workers: int = 1) -> ExperimentReport:
         }
 
     metadata = {
-        "kind": "contour",
-        "version": __version__,
         "spec": _spec_dict(spec),
         "per_n": meta_per_n,
     }
@@ -428,8 +421,6 @@ def run_rho(spec: RhoSpec, workers: int = 1) -> ExperimentReport:
         meta_per_n[str(n)] = entry
 
     metadata = {
-        "kind": "rho",
-        "version": __version__,
         "spec": _spec_dict(spec),
         "per_n": meta_per_n,
     }
@@ -498,7 +489,12 @@ def write_csv(path: Path, columns: dict[str, np.ndarray]) -> None:
 
 
 def write_report(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write each table as CSV plus a JSON metadata file; returns the paths."""
+    """Write each table as CSV plus a JSON metadata file; returns the paths.
+
+    The metadata file holds the report's metadata plus its ``kind``, the
+    package ``version`` and the ``files`` written.  NaN and infinities are
+    not JSON, so a non-finite value is written as null.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -506,9 +502,12 @@ def write_report(report: ExperimentReport, out_dir) -> list[Path]:
         p = out / f"{name}.csv"
         write_csv(p, report.tables[name])
         paths.append(p)
-    meta = dict(report.metadata)
-    meta["files"] = [p.name for p in paths]
+    meta = {**report.metadata, "kind": report.kind, "version": __version__,
+            "files": [p.name for p in paths]}
+    # a round trip through JSON text turns each NaN or infinity into None
+    meta = json.loads(json.dumps(meta), parse_constant=lambda _: None)
     mp = out / f"{report.kind}_meta.json"
-    mp.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    mp.write_text(json.dumps(meta, sort_keys=True, indent=2, allow_nan=False) + "\n",
+                  encoding="utf-8")
     paths.append(mp)
     return paths

@@ -182,15 +182,10 @@ def simulate_scenario(
     have k + 1 points and equal the first k + 1 points of the full
     scenario, bit for bit.  None simulates the whole horizon.
     """
-    if through is None:
-        intervals, horizon = config.intervals, config.horizon
-    else:
-        horizon = _check_real("through", through, lo=0.0)
-        if horizon > config.horizon:
-            raise ValueError(
-                f"through must not exceed horizon {config.horizon!r}, got {through!r}"
-            )
-        intervals = _grid_index(config.n, horizon)
+    horizon = config.horizon if through is None else _check_real("through", through, lo=0.0)
+    if horizon > config.horizon:
+        raise ValueError(f"through must not exceed horizon {config.horizon!r}, got {through!r}")
+    intervals = _grid_index(config.n, horizon)
     m = config.substeps
     total = intervals * m
     denom = config.n * m  # each sub-step has width 1/denom exactly

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import functools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hfcopula
 from hfcopula import cli, experiments
 from hfcopula.cli import main
 from hfcopula.estimators import SampledPath, boundary_aware_interval
@@ -504,6 +506,26 @@ def test_qq_summary_of_a_huge_statistic_stays_short(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["simulate", "qq"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_n_list_of_a_single_n_command_exits_2(tmp_path, monkeypatch, capsys, command, source):
+    """simulate and qq run at one n: an n_list is an error, not silently dropped."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a scenario was simulated")
+    monkeypatch.setattr(cli, "simulate_scenario", no_simulation)
+    monkeypatch.setattr(experiments, "simulate_scenario", no_simulation)
+    out = tmp_path / "o"
+    if source == "flag":
+        argv = ["--command", command, "--n-list", "100,200"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"command": command, "n_list": [100, 200]}), encoding="utf-8")
+        argv = ["--config", str(cfg)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "--n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "qq"])
 def test_workers_below_one_exits_2(tmp_path, command):
     out = tmp_path / "o"
     assert main(["--command", command, "--workers", "0", "--out", str(out)]) == 2
@@ -645,17 +667,43 @@ def command_args(tmp_path):
         "contour": ["--n", "100", "--uv-grid", "5", "--replications", "2"],
         "qq": ["--n", "200", "--replications", "3", "--constant-vol", "1.0"],
         "rho": ["--n-list", "100,400", "--replications", "2", "--uv-grid", "5"],
+        # no interior cell: the mean interior coverage and width are NaN
+        "contour-nan": ["--n", "100", "--uv-grid", "2", "--replications", "1"],
+        # replication 533 alone, and it is degenerate: every statistic is NaN
+        "qq-nan": ["--n", "100", "--s", "0.3", "--t", "0.31", "--replications", "1",
+                   "--seed", "533", "--constant-vol", "1.0"],
     }
 
 
-@pytest.mark.parametrize("command", ["simulate", "estimate", "contour", "qq", "rho"])
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# per NaN run: the path to the metadata entry whose values are NaN, and their
+# keys, each written as null
+_NULLS = {
+    "contour-nan": (("per_n", "100"), {"mean_interior_coverage", "mean_interior_width"}),
+    "qq-nan": ((), {"ks_distance", "mean_statistic", "variance_statistic", "mean_v_hat",
+                    "empirical_variance_scaled_error", "coverage_95"}),
+}
+
+
+@pytest.mark.parametrize("command", ["simulate", "estimate", "contour", "qq", "rho",
+                                     "contour-nan", "qq-nan"])
 def test_every_command_writes_its_listed_files(tmp_path, command_args, command):
-    args = ["--command", command, *command_args[command]]
+    kind = command.split("-")[0]
+    args = ["--command", kind, *command_args[command]]
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
-    meta_name = f"{command}_meta.json"
-    meta = json.loads((a / meta_name).read_text(encoding="utf-8"))
+    meta_name = f"{kind}_meta.json"
+    # strictly: NaN and the infinities are not JSON
+    meta = json.loads((a / meta_name).read_text(encoding="utf-8"),
+                      parse_constant=_reject_constant)
+    assert meta["kind"] == kind and meta["version"] == hfcopula.__version__
+    where, nulls = _NULLS.get(command, ((), set()))
+    entry = functools.reduce(dict.__getitem__, where, meta)
+    assert {key for key, val in entry.items() if val is None} == nulls
     names = sorted(p.name for p in a.iterdir())
     assert names == sorted([*meta["files"], meta_name])
     assert names == sorted(p.name for p in b.iterdir())

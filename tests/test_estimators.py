@@ -174,10 +174,18 @@ def test_interval_bounds_arrays_match_scalar_calls():
     u, v = rng.uniform(0.0, 1.0, size=(2, 200))
     c_hat = np.minimum(u, v) * rng.uniform(0.9, 1.1, size=200)
     v_hat = rng.uniform(0.0, 0.5, size=200)
+    # edge cells, each with a finite and a NaN v_hat: at (1, 0.1), u + v - 1
+    # rounds above v, so a clipped lower end would pass the center
+    edges = np.repeat([(1.0, 0.1, 0.1), (0.0, 0.4, 0.0), (0.6, 1.0, 0.6)], 2, axis=0)
+    u, v, c_hat = (np.concatenate([col, edge]) for col, edge in zip((u, v, c_hat), edges.T))
+    v_hat = np.concatenate([v_hat, np.tile([0.04, math.nan], 3)])
     got = interval_bounds(c_hat, v_hat, 100, u, v, 0.9)
-    for i in range(200):
+    for i in range(u.size):
         ref = interval_bounds(float(c_hat[i]), float(v_hat[i]), 100, float(u[i]), float(v[i]), 0.9)
         assert tuple(arr[i] for arr in got) == ref
+        assert {type(end) for end in ref} == {np.float64}
+        if i >= 200:
+            assert ref == (c_hat[i],) * 3
 
 
 def test_interval_degenerate_variance():
@@ -294,7 +302,7 @@ def test_output_invariants_name_the_row(monkeypatch):
         return c, c + 0.01, c - 0.01
 
     monkeypatch.setattr(estimators, "interval_bounds", reversed_interval)
-    with pytest.raises(ValueError, match=r"^query row 2: need .* ci_lo <= c_hat <= ci_hi"):
+    with pytest.raises(ValueError, match=r"^query row 1: need .* ci_lo <= c_hat <= ci_hi"):
         boundary_aware_interval(path, 0.3, 0.7, u, 0.5, 0.95)
 
 
