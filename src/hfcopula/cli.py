@@ -127,8 +127,24 @@ def _load_config_file(path: Path) -> dict:
     return data
 
 
+# the dataclass whose fields each command reads from the config, besides the
+# variance model's; estimate reads its path and query set instead
+_SPECS = {"simulate": SimConfig, "contour": ContourSpec, "qq": QqSpec, "rho": RhoSpec}
+
+
+def _read_keys(cfg: dict) -> set[str]:
+    """The config keys that ``cfg``'s command reads, besides out, seed and workers."""
+    if cfg["command"] == "estimate":
+        return {"input", "queries", "level", *_QUERY_COLUMNS}
+    vol = {"constant_vol"} if "constant_vol" in cfg else {f.name for f in fields(CirParams)}
+    # n sets n_list where the spec has one, unless n_list is set too
+    n = set() if "n_list" in cfg else {"n"}
+    return {f.name for f in fields(_SPECS[cfg["command"]])} | vol | n
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg: dict = {"seed": 0, "out": "out", "workers": 1, "level": 0.95}
+    given = set()
     if args.config is not None:
         data = _load_config_file(args.config)
         for key, val in data.items():
@@ -136,16 +152,21 @@ def _resolve(args: argparse.Namespace) -> dict:
             if not (is_type(val) or key == "n_list" and isinstance(val, list)):
                 raise ValueError(f"config value {key!r} must be {what}, got {val!r}")
         cfg.update(data)
+        given.update(data)
     for key in _CONFIG_KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            given.add(key)
     if "command" not in cfg:
         raise ValueError("no command given: use --command or a config file")
     if cfg["command"] not in _COMMANDS:
         raise ValueError(f"unknown command {cfg['command']!r}")
     if "n_list" in cfg and cfg["command"] in ("simulate", "qq"):
         raise ValueError(f"{cfg['command']} runs at a single n: set it with --n, not n_list")
+    unread = given - _read_keys(cfg) - {"command", "out", "seed", "workers"}
+    if unread:
+        raise ValueError(f"{cfg['command']} does not use the settings {sorted(unread)}")
     if cfg["workers"] < 1:
         raise ValueError(f"workers must be an integer >= 1, got {cfg['workers']!r}")
     if isinstance(cfg.get("n_list"), str):
@@ -284,12 +305,9 @@ def _summary(report: ExperimentReport) -> str:
 
 
 def cmd_experiment(cfg: dict) -> tuple[ExperimentReport, str]:
+    spec_cls = _SPECS[cfg["command"]]
     # built per call, so that a runner name rebound in this module is the one called
-    spec_cls, run = {
-        "contour": (ContourSpec, run_contour),
-        "qq": (QqSpec, run_qq),
-        "rho": (RhoSpec, run_rho),
-    }[cfg["command"]]
+    run = {"contour": run_contour, "qq": run_qq, "rho": run_rho}[cfg["command"]]
     kwargs = _set_fields(spec_cls, cfg)
     if "n_list" in spec_cls.__dataclass_fields__ and "n" in cfg:
         kwargs.setdefault("n_list", (cfg["n"],))

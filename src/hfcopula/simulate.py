@@ -180,7 +180,8 @@ def simulate_scenario(
     ``through`` in (0, horizon] stops the simulation at grid index
     k = floor(n*through): the path (with horizon ``through``), T and Q
     have k + 1 points and equal the first k + 1 points of the full
-    scenario, bit for bit.  None simulates the whole horizon.
+    scenario, bit for bit.  None simulates the whole horizon.  A variance
+    whose fourth power overflows raises ValueError.
     """
     horizon = config.horizon if through is None else _check_real("through", through, lo=0.0)
     if horizon > config.horizon:
@@ -190,24 +191,36 @@ def simulate_scenario(
     total = intervals * m
     denom = config.n * m  # each sub-step has width 1/denom exactly
 
+    # at most two sub-grid buffers: the variance path (CIR only) and one work
+    # buffer, which holds sigma^4 (CIR only), then the driver draws xi, then
+    # the increments dx = sqrt(sigma2) * xi / sqrt(denom), each the same bits
+    # as a fresh array computed by that formula.  Dividing the cumulative
+    # sums by the exact integer denom (rather than multiplying by a rounded
+    # 1/denom) keeps T_{i/n} = i/n exact for sigma2 constant at 1
     vol_rng, drv_rng = derive_streams(config.seed)
-    sigma2 = simulate_cir(params, config, rng=vol_rng, steps=total)
-    s2 = sigma2[:-1]
-    # two sub-grid buffers: the variance path and one work buffer, which
-    # holds sigma^4, then the driver draws xi, then the increments
-    # dx = sqrt(sigma2) * xi / sqrt(denom), each the same bits as a fresh
-    # array computed by that formula.  Dividing the cumulative sums by the
-    # exact integer denom (rather than multiplying by a rounded 1/denom)
-    # keeps T_{i/n} = i/n exact for sigma2 constant at 1
-    true_t = np.empty(intervals + 1)
-    true_t[0] = 0.0
-    true_t[1:] = np.cumsum(s2.reshape(intervals, m).sum(axis=1)) / denom
-    work = np.multiply(s2, s2)
-    true_q = np.empty(intervals + 1)
-    true_q[0] = 0.0
-    true_q[1:] = np.cumsum(work.reshape(intervals, m).sum(axis=1)) / denom
+    constant = isinstance(params, ConstantVol)
+    with np.errstate(over="ignore"):  # an overflowing sigma^4 is reported below
+        if constant:
+            # every block of m sub-steps holds sigma2 alone, so its sum is the
+            # one pairwise sum that reshape(intervals, m).sum(axis=1) takes of
+            # each row; like simulate_cir(ConstantVol), this reads no variance draw
+            block = np.full(m, params.sigma2)
+            true_t = _clock(np.full(intervals, block.sum()), denom)
+            true_q = _clock(np.full(intervals, (block * block).sum()), denom)
+            work = np.empty(total)
+        else:
+            s2 = simulate_cir(params, config, rng=vol_rng, steps=total)[:-1]
+            true_t = _clock(s2.reshape(intervals, m).sum(axis=1), denom)
+            work = np.multiply(s2, s2)
+            true_q = _clock(work.reshape(intervals, m).sum(axis=1), denom)
+    if not math.isfinite(true_q[-1]):
+        raise ValueError(
+            f"the variance's fourth power sigma^4 overflows: its integral "
+            f"true_Q is {float(true_q[-1])!r}, so the variance is too large"
+        )
     drv_rng.standard_normal(out=work)
-    work *= np.sqrt(s2, out=s2)
+    # IEEE sqrt is correctly rounded: the scalar root has the bits of np.sqrt
+    work *= math.sqrt(params.sigma2) if constant else np.sqrt(s2, out=s2)
     work /= math.sqrt(denom)
 
     x = np.empty(intervals + 1)
@@ -216,3 +229,11 @@ def simulate_scenario(
 
     path = SampledPath(values=x, n=config.n, horizon=horizon)
     return SimulatedScenario(path=path, true_T=true_t, true_Q=true_q)
+
+
+def _clock(block_sums: np.ndarray, denom: int) -> np.ndarray:
+    """0, then the cumulative sums of ``block_sums`` divided by ``denom``."""
+    out = np.empty(block_sums.size + 1)
+    out[0] = 0.0
+    out[1:] = np.cumsum(block_sums) / denom
+    return out

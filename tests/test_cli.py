@@ -525,6 +525,59 @@ def test_n_list_of_a_single_n_command_exits_2(tmp_path, monkeypatch, capsys, com
     assert not out.exists()
 
 
+# settings each command leaves unread, besides the small settings it runs with
+_UNREAD = {
+    "estimate": ({"s": 0.3, "t": 0.7, "u": 0.5, "v": 0.5},
+                 {"n_list": "5,6", "horizon": 9.0, "replications": 3}),
+    "rho": ({"n_list": "100", "replications": 2, "uv_grid": 5},
+            {"s": 0.9, "u": 0.2, "level": 0.5}),
+    "contour": ({"n_list": "100", "replications": 2, "uv_grid": 5},
+                {"tau": 0.5, "st_step": 9.0}),
+    "contour-n": ({"n_list": "100", "replications": 2, "uv_grid": 5}, {"n": 400}),
+    "qq-constant": ({"n": 100, "replications": 2, "constant_vol": 1.0}, {"kappa": 2.0}),
+    "simulate-constant": ({"n": 100, "constant_vol": 1.0}, {"s0": 2.0, "u": 0.5}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNREAD))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_unread_setting_exits_2(tmp_path, monkeypatch, capsys, case, source):
+    """A setting that the command does not read is an error, not silently dropped."""
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a scenario was simulated")
+    monkeypatch.setattr(cli, "simulate_scenario", no_simulation)
+    monkeypatch.setattr(experiments, "simulate_scenario", no_simulation)
+    monkeypatch.chdir(tmp_path)
+    Path("path.csv").write_text("time,X\n0.0,0.0\n0.5,0.1\n1.0,0.3\n", encoding="utf-8")
+    read, unread = _UNREAD[case]
+    settings = {"command": case.split("-")[0], "out": "o", "seed": 3, "workers": 1,
+                **({"input": "path.csv"} if case == "estimate" else {}), **read, **unread}
+    if source == "flag":
+        argv = [str(a) for key, val in settings.items()
+                for a in ("--" + key.replace("_", "-"), val)]
+    else:
+        Path("c.json").write_text(json.dumps(settings), encoding="utf-8")
+        argv = ["--config", "c.json"]
+    assert main(argv) == 2
+    assert f"does not use the settings {sorted(unread)}" in capsys.readouterr().err
+    assert not Path("o").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--command", "simulate", "--n", "10", "--constant-vol", "1e200"],
+    ["--command", "simulate", "--n", "10", "--s0", "1e200"],
+    ["--command", "qq", "--n", "100", "--replications", "2", "--constant-vol", "1e200"],
+], ids=["simulate-constant", "simulate-cir", "qq-constant"])
+def test_overflowing_variance_exits_2(tmp_path, recwarn, capsys, args):
+    """sigma^4 = 1e400 overflows: a config error, with no numpy RuntimeWarning."""
+    out = tmp_path / "o"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "fourth power" in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "qq"])
 def test_workers_below_one_exits_2(tmp_path, command):
     out = tmp_path / "o"

@@ -1,5 +1,6 @@
 """Tests for the CIR variance process and scenario generation."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -247,46 +248,73 @@ def test_seed_determinism():
     assert np.array_equal(a.true_Q, b.true_Q)
 
 
+# Constant variances and layouts at which simulate_scenario must give the bits
+# of the sub-grid formulas.  A constant scenario sums each block of substeps
+# equal values once, so the substeps take numpy's pairwise sum below, at and
+# past its unroll width of 8; through stops half way, or not at all.
+_CONSTANT_GRID = list(itertools.product(
+    [ConstantVol(s2) for s2 in (0.37, 0.7, 1.0, 2.5, 3.3333, 1e-3)],
+    [1, 3, 8, 9, 10, 17],
+    [None, 0.5],
+))
+_CIR_GRID = [(vol, m, None) for m in (5, 10)
+             for vol in (CirParams(0.5, 1.5, 1.0, 1.5), CirParams(1.0, 2.0, 1.5, 0.8))]
+
+
 def test_driver_stream_independent_of_volatility():
     """The scenario must consume volatility and driver noise from separate
     streams: rebuilding X by hand from stream 1 reproduces it for any
     volatility model fed by stream 0."""
-    n, m, seed = 30, 10, 17
-    cfg = SimConfig(n=n, substeps=m, seed=seed)
-    for vol in (ConstantVol(1.0), CirParams(0.5, 1.5, 1.0, 1.5), CirParams(1.0, 2.0, 1.5, 0.8)):
-        scn = simulate_scenario(vol, cfg)
+    n, seed = 30, 17
+    for vol, m, through in _CIR_GRID + _CONSTANT_GRID:
+        cfg = SimConfig(n=n, substeps=m, seed=seed)
+        scn = simulate_scenario(vol, cfg, through=through)
+        k = n if through is None else int(n * through)
         _, drv = derive_streams(seed)
-        xi = drv.standard_normal(n * m)
-        dx = np.sqrt(simulate_cir(vol, cfg)[:-1]) * xi / math.sqrt(n * m)
-        x = np.concatenate([[0.0], np.cumsum(dx.reshape(n, m).sum(axis=1))])
-        np.testing.assert_array_equal(scn.path.values, x)
+        xi = drv.standard_normal(n * m)[:k * m]
+        dx = np.sqrt(simulate_cir(vol, cfg)[:k * m]) * xi / math.sqrt(n * m)
+        x = np.concatenate([[0.0], np.cumsum(dx.reshape(k, m).sum(axis=1))])
+        np.testing.assert_array_equal(scn.path.values, x, err_msg=f"{vol} {m} {through}")
 
 
 def test_vol_stream_is_stream_zero():
     """The true clock and quarticity are the left-Riemann sums of the variance
     path drawn from stream 0 and of its square."""
-    n, m, seed = 20, 5, 23
-    cfg = SimConfig(n=n, substeps=m, seed=seed)
-    for params in (CirParams(0.5, 1.5, 1.0, 1.5), ConstantVol(0.37)):
-        scn = simulate_scenario(params, cfg)
+    n, seed = 20, 23
+    for vol, m, through in _CIR_GRID + _CONSTANT_GRID:
+        cfg = SimConfig(n=n, substeps=m, seed=seed)
+        scn = simulate_scenario(vol, cfg, through=through)
+        k = n if through is None else int(n * through)
         vol_rng, _ = derive_streams(seed)
-        s2 = simulate_cir(params, cfg, vol_rng)[:-1]
-        true_t = np.cumsum(s2.reshape(n, m).sum(axis=1)) / (n * m)
-        np.testing.assert_array_equal(scn.true_T, np.concatenate([[0.0], true_t]))
-        true_q = np.cumsum((s2 * s2).reshape(n, m).sum(axis=1)) / (n * m)
-        np.testing.assert_array_equal(scn.true_Q, np.concatenate([[0.0], true_q]))
+        s2 = simulate_cir(vol, cfg, vol_rng)[:k * m]
+        true_t = np.cumsum(s2.reshape(k, m).sum(axis=1)) / (n * m)
+        np.testing.assert_array_equal(scn.true_T, np.concatenate([[0.0], true_t]),
+                                      err_msg=f"{vol} {m} {through}")
+        true_q = np.cumsum((s2 * s2).reshape(k, m).sum(axis=1)) / (n * m)
+        np.testing.assert_array_equal(scn.true_Q, np.concatenate([[0.0], true_q]),
+                                      err_msg=f"{vol} {m} {through}")
 
 
-# One sub-grid buffer holds the n*substeps = 10^5 doubles of n = 10^4.  A
+@pytest.mark.parametrize("vol", [ConstantVol(1e200), CirParams(0.5, 1.5, 1.0, 1e200)],
+                         ids=["constant", "cir"])
+def test_overflowing_fourth_power_is_a_value_error(vol):
+    """sigma^4 = 1e400 is not a double: the scenario says so, without a numpy warning."""
+    with pytest.raises(ValueError, match="fourth power"):
+        simulate_scenario(vol, SimConfig(n=10))
+
+
+# One sub-grid buffer holds the n*substeps = 10^5 doubles of n = 10^4.  A CIR
 # scenario keeps two alive, the variance path and one work buffer, and
 # simulate_cir over the whole horizon briefly three (normals, chi-squares,
-# path); the grid-sized arrays add at most 0.62.  So the peaks read 2.62,
-# 2.41 and 3.01 buffers below, and 5.41, 3.81 and 5.41 when every step of
-# the formulas made a fresh sub-grid array.
-@pytest.mark.parametrize("params, through", [
-    (ConstantVol(1.0), None), (DEFAULT_CIR, 0.7), (DEFAULT_CIR, None),
+# path); a constant one keeps only the work buffer, for the driver draws.
+# The grid-sized arrays add at most 0.62.  So the peaks read 1.62, 2.41 and
+# 3.01 buffers below; 2.62 for the constant case when it made a variance
+# path, and 5.41, 3.81 and 5.41 when every step of the formulas made a fresh
+# sub-grid array.
+@pytest.mark.parametrize("params, through, bound", [
+    (ConstantVol(1.0), None, 1.9), (DEFAULT_CIR, 0.7, 3.2), (DEFAULT_CIR, None, 3.2),
 ], ids=["constant", "cir-through", "cir-full"])
-def test_scenario_peak_memory(params, through):
+def test_scenario_peak_memory(params, through, bound):
     cfg = SimConfig(n=10_000, seed=5)
     # the first call in a process allocates about one buffer of one-time state
     simulate_scenario(params, SimConfig(n=10), through=through)
@@ -296,7 +324,7 @@ def test_scenario_peak_memory(params, through):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.2 * cfg.intervals * cfg.substeps * 8
+    assert peak <= bound * cfg.intervals * cfg.substeps * 8
 
 
 def test_realized_variation_tracks_true_time_change():
